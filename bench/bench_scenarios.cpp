@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bench_io.h"
+#include "bench_util.h"
 #include "deco/core/thread_pool.h"
 #include "deco/eval/report.h"
 #include "deco/scenario/harness.h"
@@ -80,10 +80,10 @@ int main() {
             << " methods=" << methods.size() << " seed=" << options.seed
             << "\n\n";
 
-  const double t0 = bench::now_seconds();
+  const double t0 = core::now_seconds();
   const scenario::MatrixReport report =
       scenario::run_matrix(scenarios, methods, options);
-  const double total_s = bench::now_seconds() - t0;
+  const double total_s = core::now_seconds() - t0;
 
   int failures = 0;
   std::cout << "scenario  method  acc  forget  shed  seconds\n";

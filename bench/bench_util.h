@@ -1,5 +1,7 @@
-// Shared configuration for the benchmark binaries that regenerate the paper's
-// tables and figures.
+// Shared helpers for the benchmark binaries: the protocol knobs of the
+// benches that regenerate the paper's tables and figures (scale, seeds,
+// RunConfig defaults), a timing helper and the JSON emitter of the BENCH_*.json
+// artifacts.
 //
 // Every bench runs in one of two scales:
 //   * quick (default): sized so the whole suite finishes in minutes on one
@@ -13,10 +15,15 @@
 //   DECO_SEGMENTS    = override the stream length (segments)
 #pragma once
 
+#include <algorithm>
+#include <fstream>
+#include <functional>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "deco/core/clock.h"
 #include "deco/eval/report.h"
 #include "deco/eval/runner.h"
 
@@ -115,5 +122,118 @@ inline void print_scale_banner(const std::string& bench) {
             << " seeds=" << s.seeds << " segments=" << s.segments
             << " (set DECO_BENCH_SCALE=full for the larger protocol)\n\n";
 }
+
+/// Milliseconds per call of `op`: one warm-up call, a single timed call to
+/// size the batch to ~0.3 s, then the mean over that batch. The protocol
+/// perf_smoke's GEMM gates were tuned against.
+inline double time_ms(const std::function<void()>& op) {
+  op();  // warm-up
+  double t0 = core::now_seconds();
+  op();
+  const double once = core::now_seconds() - t0;
+  const int iters = std::max(5, static_cast<int>(0.3 / std::max(once, 1e-6)));
+  t0 = core::now_seconds();
+  for (int i = 0; i < iters; ++i) op();
+  return (core::now_seconds() - t0) / iters * 1e3;
+}
+
+/// Minimal pretty-printing JSON emitter for the BENCH_*.json artifacts.
+/// Supports objects, arrays, scalar values, and raw() embedding of an
+/// already-serialized document (perf_smoke embeds the telemetry aggregate
+/// snapshot that way). Keys are emitted in call order; strings are escaped
+/// for quotes and backslashes only, which the artifact schemas never contain.
+class JsonWriter {
+ public:
+  JsonWriter& begin_object() {
+    separate();
+    os_ << '{';
+    stack_.push_back(true);
+    return *this;
+  }
+  JsonWriter& end_object() { return close_container('}'); }
+  JsonWriter& begin_array() {
+    separate();
+    os_ << '[';
+    stack_.push_back(true);
+    return *this;
+  }
+  JsonWriter& end_array() { return close_container(']'); }
+
+  JsonWriter& key(const std::string& k) {
+    separate();
+    os_ << '"' << k << "\": ";
+    after_key_ = true;
+    return *this;
+  }
+  JsonWriter& value(int64_t v) {
+    separate();
+    os_ << v;
+    return *this;
+  }
+  JsonWriter& value(int v) { return value(static_cast<int64_t>(v)); }
+  JsonWriter& value(double v) {
+    separate();
+    os_ << v;
+    return *this;
+  }
+  JsonWriter& value(const std::string& s) {
+    separate();
+    os_ << '"';
+    for (char c : s) {
+      if (c == '"' || c == '\\') os_ << '\\';
+      os_ << c;
+    }
+    os_ << '"';
+    return *this;
+  }
+  JsonWriter& value(const char* s) { return value(std::string(s)); }
+  /// Embeds `json` verbatim as the next value; the caller vouches that it is
+  /// a complete, valid JSON document.
+  JsonWriter& raw(const std::string& json) {
+    separate();
+    os_ << json;
+    return *this;
+  }
+
+  /// The document text (trailing newline included).
+  std::string str() const { return os_.str() + "\n"; }
+
+  /// Writes the document and reports the path on stdout (the bench binaries'
+  /// existing "written to ..." convention). Returns false on I/O failure so
+  /// a bench can turn a missing artifact into a nonzero exit.
+  bool write_file(const std::string& path) const {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (!os.is_open()) return false;
+    os << str();
+    if (!os.good()) return false;
+    std::cout << "artifact written to " << path << "\n";
+    return true;
+  }
+
+ private:
+  JsonWriter& close_container(char c) {
+    const bool empty = stack_.back();
+    stack_.pop_back();
+    if (!empty) os_ << "\n" << std::string(stack_.size() * 2, ' ');
+    os_ << c;
+    return *this;
+  }
+  // Emits the comma/newline/indent that precedes the next element, unless the
+  // element is the value directly following its key.
+  void separate() {
+    if (after_key_) {
+      after_key_ = false;
+      return;
+    }
+    if (stack_.empty()) return;
+    if (!stack_.back()) os_ << ',';
+    stack_.back() = false;
+    os_ << "\n" << std::string(stack_.size() * 2, ' ');
+  }
+
+  std::ostringstream os_;
+  std::vector<bool> stack_;  // one flag per open container: still empty?
+  bool after_key_ = false;
+};
 
 }  // namespace deco::bench

@@ -2,83 +2,17 @@
 //
 // The paper's whole premise is that condensation mitigates forgetting better
 // than selection under tight memory. Table I shows the end-state accuracy;
-// this bench measures the forgetting itself: per-class accuracy is snapshot
-// after every model update, and forgetting is the standard max-drop-from-peak
-// (see eval::ForgettingTracker). Expected shape: DECO's mean forgetting is
+// this bench measures the forgetting itself: run_experiment snapshots
+// per-class accuracy at the start and after every model update, and
+// forgetting is the standard max-drop-from-peak (see eval::ForgettingTracker). Expected shape: DECO's mean forgetting is
 // below the selection baselines' at equal IpC, because its buffer never
 // evicts — old classes' information is not displaced by new runs.
 #include <iostream>
-#include <memory>
 
 #include "bench_util.h"
-#include "deco/eval/metrics.h"
 #include "deco/eval/stats.h"
 
 using namespace deco;
-
-namespace {
-
-struct Outcome {
-  float final_acc = 0.0f;
-  float forgetting = 0.0f;
-};
-
-Outcome run_with_tracking(const std::string& method, int64_t ipc,
-                          const bench::BenchScale& s, uint64_t seed) {
-  eval::RunConfig cfg = bench::base_config(data::core50_spec(), s);
-  cfg.method = method;
-  cfg.ipc = ipc;
-  cfg.seed = seed;
-
-  data::ProceduralImageWorld world(cfg.spec, cfg.seed * 7919 + 17);
-  data::Dataset pretrain =
-      world.make_labeled_set(cfg.pretrain_per_class, cfg.seed + 1);
-  data::Dataset test = world.make_test_set(cfg.test_per_class, cfg.seed + 2);
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = 3;
-  mc.image_h = cfg.spec.height;
-  mc.image_w = cfg.spec.width;
-  mc.num_classes = cfg.spec.num_classes;
-  mc.width = cfg.model_width;
-  mc.depth = cfg.model_depth;
-  Rng rng(cfg.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
-  std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-  for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-  core::train_classifier(model, pretrain.batch(all), pretrain.labels(),
-                         cfg.pretrain_epochs, cfg.deco.lr_model,
-                         cfg.deco.weight_decay, cfg.deco.train_batch, rng);
-
-  std::unique_ptr<core::OnDeviceLearner> learner;
-  if (method == "deco") {
-    core::DecoConfig dc = cfg.deco;
-    dc.ipc = ipc;
-    auto l = std::make_unique<core::DecoLearner>(model, dc, cfg.seed + 3);
-    l->init_buffer_from(pretrain);
-    learner = std::move(l);
-  } else {
-    baselines::BaselineConfig bc = cfg.baseline;
-    bc.ipc = ipc;
-    auto l = std::make_unique<baselines::BaselineLearner>(
-        model, baselines::strategy_from_name(method), bc, cfg.seed + 3);
-    l->init_buffer_from(pretrain);
-    learner = std::move(l);
-  }
-
-  eval::ForgettingTracker tracker;
-  tracker.record(eval::per_class_accuracy(model, test));
-  data::TemporalStream stream(world, cfg.stream, cfg.seed + 4);
-  data::Segment seg;
-  while (stream.next(seg)) {
-    learner->observe_segment(seg.images);
-    if (stream.segments_emitted() % cfg.deco.beta == 0)
-      tracker.record(eval::per_class_accuracy(model, test));
-  }
-  return {eval::accuracy(model, test), tracker.mean_forgetting()};
-}
-
-}  // namespace
 
 int main() {
   bench::print_scale_banner("Extension — catastrophic forgetting (CORe50)");
@@ -87,11 +21,17 @@ int main() {
   eval::MarkdownTable table({"method", "IpC", "final acc", "mean forgetting"});
   for (int64_t ipc : {1, 10}) {
     for (const std::string method : {"fifo", "selective_bp", "deco"}) {
+      eval::RunConfig cfg = bench::base_config(data::core50_spec(), s);
+      cfg.method = method;
+      cfg.ipc = ipc;
+      // One per-class snapshot per model update.
+      cfg.eval_every_segments = cfg.deco.beta;
       eval::RunningStats acc, forg;
       for (int64_t k = 0; k < s.seeds; ++k) {
-        const Outcome o = run_with_tracking(method, ipc, s, 1 + k);
-        acc.add(o.final_acc);
-        forg.add(o.forgetting);
+        cfg.seed = 1 + static_cast<uint64_t>(k);
+        const eval::RunResult r = eval::run_experiment(cfg);
+        acc.add(r.final_accuracy);
+        forg.add(r.forgetting);
       }
       table.add_row({method, std::to_string(ipc), eval::fmt(acc.mean(), 2),
                      eval::fmt(forg.mean(), 2)});

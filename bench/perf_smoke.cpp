@@ -29,7 +29,7 @@
 #include <cstdint>
 #include <iostream>
 
-#include "bench_io.h"
+#include "bench_util.h"
 #include "deco/core/learner.h"
 #include "deco/core/telemetry.h"
 #include "deco/core/thread_pool.h"

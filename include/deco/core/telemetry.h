@@ -41,6 +41,7 @@
 #include <string_view>
 #include <vector>
 
+#include "deco/core/clock.h"
 #include "deco/core/workspace.h"
 
 #ifndef DECO_TELEMETRY_COMPILED
@@ -66,7 +67,6 @@ struct HistInfo {
 
 void shard_add(uint32_t slot, int64_t delta);
 void hist_observe(const HistInfo& info, int64_t value);
-int64_t now_ns();  ///< steady-clock nanoseconds since process start
 int32_t span_enter();  ///< bumps the thread's nesting depth, returns the old one
 
 }  // namespace detail
@@ -167,7 +167,7 @@ class ScopedSpan {
     if (!enabled()) return;
     site_ = &site;
     depth_ = detail::span_enter();
-    start_ns_ = detail::now_ns();
+    start_ns_ = now_ns();
   }
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;

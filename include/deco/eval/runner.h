@@ -5,9 +5,16 @@
 // unlabeled stream through a learner (DECO, a replay baseline, a condensation
 // baseline, or the unlimited upper bound), and measure accuracy on a held-out
 // test set — optionally at fixed intervals for learning curves (Fig. 3).
+//
+// deploy() and make_learner() are the protocol's two set-up steps:
+// run_experiment and the scenario harness both build their world,
+// pre-trained model and learner through them, so every experiment shares one
+// lineage of seeds and one recipe.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,7 +29,7 @@ namespace deco::eval {
 /// Which learner drives the run.
 /// "deco" | "random" | "fifo" | "selective_bp" | "kcenter" | "gss"
 /// | "dc" | "dsa" | "dm" (condensation baselines inside the DECO pipeline)
-/// | "mtt" (trajectory-matching extension) | "upper_bound".
+/// | "upper_bound".
 struct RunConfig {
   std::string method = "deco";
   data::DatasetSpec spec;
@@ -64,6 +71,10 @@ struct RunResult {
   double total_seconds = 0.0;
   double pseudo_label_accuracy = 0.0;  ///< vs ground truth, over the stream
   double retention_rate = 0.0;         ///< fraction of samples kept by voting
+  /// Mean per-class forgetting (eval::ForgettingTracker) over per-class
+  /// snapshots taken at the start and at every eval_every_segments point;
+  /// 0 when eval_every_segments is 0.
+  float forgetting = 0.0f;
 
   // Fault-tolerance accounting (0 unless faults/guards were active).
   data::FaultLog faults;               ///< what the injector actually did
@@ -74,7 +85,37 @@ struct RunResult {
   int64_t grads_clipped = 0;           ///< gradient-norm clips
 };
 
-RunResult run_experiment(const RunConfig& config);
+/// The deployed state the stream starts from: the world, the small labeled
+/// warm-start set, the held-out test set and the model pre-trained on the
+/// warm-start set.
+struct Deployment {
+  std::unique_ptr<data::ProceduralImageWorld> world;
+  data::Dataset warm_start;
+  data::Dataset test;
+  std::shared_ptr<nn::ConvNet> model;
+};
+
+/// Builds the deployment of `config`. `session` perturbs only the model
+/// initialisation, so the sessions of one scenario cell share the world and
+/// data sets but start from different models.
+Deployment deploy(const RunConfig& config, int64_t session = 0);
+
+/// Builds the learner named by config.method around `model`, with IpC
+/// config.ipc, and fills its buffer from `warm_start`. `condenser_seed` seeds
+/// the condenser of the condensation methods. Throws deco::Error naming an
+/// unknown method.
+std::unique_ptr<core::OnDeviceLearner> make_learner(
+    const RunConfig& config, nn::ConvNet& model,
+    const data::Dataset& warm_start, uint64_t learner_seed,
+    uint64_t condenser_seed);
+
+/// Called once with the learner after the stream and the final evaluation.
+using LearnerObserver = std::function<void(core::OnDeviceLearner&)>;
+
+/// Runs the whole protocol for `config`. `on_finish`, when set, sees the
+/// finished learner (e.g. to save its model or dump its buffer).
+RunResult run_experiment(const RunConfig& config,
+                         const LearnerObserver& on_finish = {});
 
 /// Convenience: runs `seeds` seeds (config.seed, +1, …) and collects final
 /// accuracies.

@@ -95,8 +95,9 @@ struct MatrixReport {
   std::vector<CellResult> cells;
 };
 
-/// Runs one (scenario, method) cell. Throws deco::Error on an invalid spec
-/// or unknown method.
+/// Runs one (scenario, method) cell. Each session is built by eval::deploy
+/// and eval::make_learner. Throws deco::Error on an invalid spec, an unknown
+/// method, or "upper_bound" (the oracle needs labelled segments).
 CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
                     const HarnessOptions& options);
 

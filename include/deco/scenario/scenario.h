@@ -87,9 +87,9 @@ std::vector<std::string> scenario_names();
 ScenarioSpec scenario_by_name(const std::string& name);
 
 /// Every method the matrix runs: DECO, the DC/DSA/DM condensation matchers
-/// and the five replay baselines. (The "upper_bound" oracle is accepted by
-/// the harness but excluded from the default matrix — it reads true labels,
-/// so label-noise scenarios would measure the noise, not the method.)
+/// and the five replay baselines. The runner's "upper_bound" oracle is not
+/// among them: it needs ground-truth labels, and the harness only streams
+/// unlabelled segments, so run_cell rejects it.
 std::vector<std::string> builtin_methods();
 
 /// Dataset preset lookup ("icub1" | "core50" | "cifar100" | "imagenet10" |

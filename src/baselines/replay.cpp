@@ -1,22 +1,16 @@
 #include "deco/baselines/replay.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
+#include "deco/core/clock.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/ops.h"
 
 namespace deco::baselines {
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 float cosine(const Tensor& a, const Tensor& b) { return cosine_similarity(a, b); }
 
@@ -305,7 +299,7 @@ core::SegmentReport BaselineLearner::observe_segment(const Tensor& images) {
     probs = softmax_rows(logits);
   }
 
-  const double t0 = now_seconds();
+  const double t0 = core::now_seconds();
   const int64_t n = images.dim(0);
   const int64_t per = images.numel() / n;
   for (int64_t i = 0; i < n; ++i) {
@@ -330,7 +324,7 @@ core::SegmentReport BaselineLearner::observe_segment(const Tensor& images) {
     }
     buffer_.offer(std::move(s), rng_);
   }
-  select_seconds_ += now_seconds() - t0;
+  select_seconds_ += core::now_seconds() - t0;
 
   ++segments_seen_;
   if (segments_seen_ % config_.beta == 0) update_model_now();

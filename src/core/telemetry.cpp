@@ -1,7 +1,6 @@
 #include "deco/core/telemetry.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
@@ -139,9 +138,6 @@ Shard& tls_shard() {
   return shard;
 }
 
-const std::chrono::steady_clock::time_point g_t0 =
-    std::chrono::steady_clock::now();
-
 // Reads the env switches and registers the at-exit exporters. Runs during
 // static initialization of this translation unit, i.e. before main.
 struct EnvInit {
@@ -206,12 +202,6 @@ void hist_observe(const HistInfo& info, int64_t value) {
   Shard& s = tls_shard();
   s.slots[info.first_slot + bucket].fetch_add(1, std::memory_order_relaxed);
   s.slots[info.sum_slot].fetch_add(value, std::memory_order_relaxed);
-}
-
-int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - g_t0)
-      .count();
 }
 
 int32_t span_enter() { return tls_shard().depth++; }
@@ -295,7 +285,7 @@ SpanSite& span_site(std::string_view name) {
 
 ScopedSpan::~ScopedSpan() {
   if (site_ == nullptr) return;
-  const int64_t dur = detail::now_ns() - start_ns_;
+  const int64_t dur = now_ns() - start_ns_;
   Shard& s = tls_shard();
   s.depth = depth_;  // unwind to the entry depth (robust to toggles mid-span)
   s.slots[site_->count_slot].fetch_add(1, std::memory_order_relaxed);

@@ -10,6 +10,7 @@
 #include <string>
 #include <thread>
 
+#include "deco/core/clock.h"
 #include "deco/core/telemetry.h"
 #include "deco/tensor/check.h"
 
@@ -176,12 +177,12 @@ void ThreadPool::run(int64_t num_chunks,
   std::exception_ptr err;
   {
     const int64_t wait_t0 =
-        telemetry::enabled() ? telemetry::detail::now_ns() : 0;
+        telemetry::enabled() ? now_ns() : 0;
     std::unique_lock<std::mutex> lk(impl_->mu);
     j->done_chunks += did;
     impl_->cv_done.wait(lk, [&] { return j->done_chunks == j->total_chunks; });
     if (wait_t0 != 0)
-      caller_wait_hist().observe(telemetry::detail::now_ns() - wait_t0);
+      caller_wait_hist().observe(now_ns() - wait_t0);
     err = j->first_error;
     // Drop the slot's reference so the dangling task pointer inside the job
     // cannot outlive this call via the pool itself; late workers keep their

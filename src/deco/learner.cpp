@@ -1,13 +1,13 @@
 #include "deco/core/learner.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "deco/core/clock.h"
 #include "deco/core/telemetry.h"
 #include "deco/nn/loss.h"
 #include "deco/nn/optim.h"
@@ -18,11 +18,6 @@
 namespace deco::core {
 
 namespace {
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // ---- save_state / load_state helpers ----------------------------------------
 

@@ -1,8 +1,8 @@
 #include "deco/eval/runner.h"
 
-#include <chrono>
 #include <memory>
 
+#include "deco/core/clock.h"
 #include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
 #include "deco/tensor/check.h"
@@ -10,47 +10,36 @@
 namespace deco::eval {
 
 namespace {
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+
+bool is_condensation_method(const std::string& m) {
+  return m == "deco" || m == "dc" || m == "dsa" || m == "dm";
 }
 
 std::unique_ptr<condense::Condenser> make_condenser(const RunConfig& cfg,
                                                     const nn::ConvNetConfig& mc,
                                                     uint64_t seed) {
-  if (cfg.method == "deco") {
+  if (cfg.method == "deco")
     return std::make_unique<condense::DecoCondenser>(mc, cfg.deco.condenser,
                                                      seed);
-  }
-  if (cfg.method == "dc" || cfg.method == "dsa") {
-    condense::BilevelConfig bc = cfg.bilevel;
-    if (cfg.method == "dsa") {
-      bc.dsa_strategy = "flip_shift_scale_rotate_color_cutout";
-    } else {
-      bc.dsa_strategy.clear();
-    }
-    return std::make_unique<condense::BilevelCondenser>(mc, bc, seed);
-  }
-  if (cfg.method == "dm") {
-    return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{}, seed);
-  }
-  if (cfg.method == "mtt") {
-    return std::make_unique<condense::MttCondenser>(mc, condense::MttConfig{},
-                                                    seed);
-  }
-  DECO_CHECK(false, "make_condenser: not a condensation method: " + cfg.method);
-  return nullptr;
+  if (cfg.method == "dm")
+    return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{},
+                                                   seed);
+  condense::BilevelConfig bc = cfg.bilevel;
+  bc.dsa_strategy =
+      cfg.method == "dsa" ? "flip_shift_scale_rotate_color_cutout" : "";
+  return std::make_unique<condense::BilevelCondenser>(mc, bc, seed);
 }
+
 }  // namespace
 
-RunResult run_experiment(const RunConfig& config) {
-  const double t_start = now_seconds();
-
-  data::ProceduralImageWorld world(config.spec, config.seed * 7919 + 17);
-  data::Dataset pretrain =
-      world.make_labeled_set(config.pretrain_per_class, config.seed + 1);
-  data::Dataset test = world.make_test_set(config.test_per_class, config.seed + 2);
+Deployment deploy(const RunConfig& config, int64_t session) {
+  auto world =
+      std::make_unique<data::ProceduralImageWorld>(config.spec,
+                                                   config.seed * 7919 + 17);
+  data::Dataset warm_start =
+      world->make_labeled_set(config.pretrain_per_class, config.seed + 1);
+  data::Dataset test =
+      world->make_test_set(config.test_per_class, config.seed + 2);
 
   nn::ConvNetConfig mc;
   mc.in_channels = config.spec.channels;
@@ -60,52 +49,72 @@ RunResult run_experiment(const RunConfig& config) {
   mc.width = config.model_width;
   mc.depth = config.model_depth;
 
-  Rng rng(config.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
+  Rng rng(config.seed * 0x9E37 + static_cast<uint64_t>(session) * 1315423911ull +
+          0xC0FFEE);
+  auto model = std::make_shared<nn::ConvNet>(mc, rng);
 
   // Pre-deployment training on the small labeled subset (paper: 1–10%).
-  {
-    std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-    for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-    core::train_classifier(model, pretrain.batch(all), pretrain.labels(),
-                           config.pretrain_epochs, config.deco.lr_model,
-                           config.deco.weight_decay, config.deco.train_batch,
-                           rng);
+  std::vector<int64_t> all(static_cast<size_t>(warm_start.size()));
+  for (int64_t i = 0; i < warm_start.size(); ++i) all[static_cast<size_t>(i)] = i;
+  core::train_classifier(*model, warm_start.batch(all), warm_start.labels(),
+                         config.pretrain_epochs, config.deco.lr_model,
+                         config.deco.weight_decay, config.deco.train_batch, rng);
+
+  return {std::move(world), std::move(warm_start), std::move(test),
+          std::move(model)};
+}
+
+std::unique_ptr<core::OnDeviceLearner> make_learner(
+    const RunConfig& config, nn::ConvNet& model,
+    const data::Dataset& warm_start, uint64_t learner_seed,
+    uint64_t condenser_seed) {
+  if (is_condensation_method(config.method)) {
+    core::DecoConfig dc = config.deco;
+    dc.ipc = config.ipc;
+    auto learner = std::make_unique<core::DecoLearner>(
+        model, dc, learner_seed,
+        make_condenser(config, model.config(), condenser_seed));
+    learner->init_buffer_from(warm_start);
+    return learner;
   }
-
-  RunResult result;
-  result.pretrain_accuracy = accuracy(model, test);
-
-  // Build the learner.
-  std::unique_ptr<core::OnDeviceLearner> learner;
-  core::DecoConfig dc = config.deco;
-  dc.ipc = config.ipc;
   baselines::BaselineConfig bc = config.baseline;
   bc.ipc = config.ipc;
-
-  if (config.method == "deco" || config.method == "dc" ||
-      config.method == "dsa" || config.method == "dm" ||
-      config.method == "mtt") {
-    auto condenser = make_condenser(config, mc, config.seed ^ 0xD3C0DE);
-    auto deco = std::make_unique<core::DecoLearner>(model, dc, config.seed + 3,
-                                                    std::move(condenser));
-    deco->init_buffer_from(pretrain);
-    learner = std::move(deco);
-  } else if (config.method == "upper_bound") {
-    auto ub =
-        std::make_unique<baselines::UnlimitedLearner>(model, bc, config.seed + 3);
-    ub->init_buffer_from(pretrain);
-    learner = std::move(ub);
-  } else {
-    auto strat = baselines::strategy_from_name(config.method);
-    auto bl = std::make_unique<baselines::BaselineLearner>(model, strat, bc,
-                                                           config.seed + 3);
-    bl->init_buffer_from(pretrain);
-    learner = std::move(bl);
+  if (config.method == "upper_bound") {
+    auto learner =
+        std::make_unique<baselines::UnlimitedLearner>(model, bc, learner_seed);
+    learner->init_buffer_from(warm_start);
+    return learner;
   }
+  baselines::Strategy strategy = baselines::Strategy::kRandom;
+  try {
+    strategy = baselines::strategy_from_name(config.method);
+  } catch (const Error&) {
+    throw Error("make_learner: unknown method '" + config.method + "'");
+  }
+  auto learner = std::make_unique<baselines::BaselineLearner>(
+      model, strategy, bc, learner_seed);
+  learner->init_buffer_from(warm_start);
+  return learner;
+}
+
+RunResult run_experiment(const RunConfig& config,
+                         const LearnerObserver& on_finish) {
+  const double t_start = core::now_seconds();
+
+  Deployment d = deploy(config);
+  const data::Dataset& test = d.test;
+  RunResult result;
+  result.pretrain_accuracy = accuracy(*d.model, test);
+
+  std::unique_ptr<core::OnDeviceLearner> learner =
+      make_learner(config, *d.model, d.warm_start, config.seed + 3,
+                   config.seed ^ 0xD3C0DE);
+  ForgettingTracker tracker;
+  if (config.eval_every_segments > 0)
+    tracker.record(per_class_accuracy(learner->model(), test));
 
   // Stream replay, optionally through the sensor-fault injector.
-  data::TemporalStream stream(world, config.stream, config.seed + 4);
+  data::TemporalStream stream(*d.world, config.stream, config.seed + 4);
   std::unique_ptr<data::FaultyStream> faulty;
   if (config.faults.any())
     faulty = std::make_unique<data::FaultyStream>(stream, config.faults,
@@ -139,13 +148,15 @@ RunResult run_experiment(const RunConfig& config) {
         stream.segments_emitted() % config.eval_every_segments == 0) {
       result.curve.push_back(
           {stream.samples_emitted(), accuracy(learner->model(), test)});
+      tracker.record(per_class_accuracy(learner->model(), test));
     }
   }
 
   if (faulty != nullptr) result.faults = faulty->log();
   result.final_accuracy = accuracy(learner->model(), test);
   result.condense_seconds = learner->condense_seconds();
-  result.total_seconds = now_seconds() - t_start;
+  result.forgetting = tracker.mean_forgetting();
+  result.total_seconds = core::now_seconds() - t_start;
   result.pseudo_label_accuracy =
       pseudo_total > 0
           ? static_cast<double>(pseudo_correct) / static_cast<double>(pseudo_total)
@@ -154,6 +165,7 @@ RunResult run_experiment(const RunConfig& config) {
       pseudo_total > 0
           ? static_cast<double>(retained_total) / static_cast<double>(pseudo_total)
           : 0.0;
+  if (on_finish) on_finish(*learner);
   return result;
 }
 

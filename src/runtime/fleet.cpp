@@ -1,19 +1,11 @@
 #include "deco/runtime/fleet.h"
 
-#include <chrono>
 #include <utility>
 
+#include "deco/core/clock.h"
 #include "deco/tensor/check.h"
 
 namespace deco::runtime {
-
-namespace {
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 void FleetConfig::validate() const {
   DECO_CHECK(sessions >= 1, "FleetConfig: sessions must be >= 1");
@@ -72,7 +64,7 @@ Fleet::Fleet(FleetConfig config)
 }
 
 FleetResult Fleet::run() {
-  const double t0 = now_seconds();
+  const double t0 = core::now_seconds();
   manager_.start();
 
   // One stream per session, submitted round-robin so every queue fills at the
@@ -97,7 +89,7 @@ FleetResult Fleet::run() {
   manager_.stop();
 
   FleetResult result;
-  result.seconds = now_seconds() - t0;
+  result.seconds = core::now_seconds() - t0;
   result.sessions = manager_.statuses();
   for (const SessionStatus& s : result.sessions)
     result.segments_processed += s.segments_processed;

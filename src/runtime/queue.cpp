@@ -1,20 +1,12 @@
 #include "deco/runtime/queue.h"
 
-#include <chrono>
 #include <utility>
 
+#include "deco/core/clock.h"
 #include "deco/core/telemetry.h"
 #include "deco/tensor/check.h"
 
 namespace deco::runtime {
-
-namespace {
-int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
 
 OverflowPolicy overflow_policy_from_name(const std::string& name) {
   if (name == "block") return OverflowPolicy::kBlock;
@@ -48,16 +40,16 @@ bool SegmentQueue::push(Tensor segment) {
       shed_c.add(1);
     } else {
       ++stats_.block_waits;
-      const int64_t t0 = now_ns();
+      const int64_t t0 = core::now_ns();
       not_full_.wait(lock, [&] {
         return closed_ || static_cast<int64_t>(items_.size()) < depth_;
       });
-      stats_.block_wait_ns += now_ns() - t0;
+      stats_.block_wait_ns += core::now_ns() - t0;
       {
         static core::telemetry::Histogram& wait_h = core::telemetry::histogram(
             "runtime/enqueue_wait_us",
             {10, 100, 1000, 10000, 100000, 1000000, 10000000});
-        wait_h.observe((now_ns() - t0) / 1000);
+        wait_h.observe((core::now_ns() - t0) / 1000);
       }
       if (closed_) {
         ++stats_.rejected;

@@ -1,17 +1,17 @@
 #include "deco/scenario/harness.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <utility>
 
-#include "deco/baselines/replay.h"
+#include "deco/core/clock.h"
 #include "deco/core/learner.h"
 #include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
+#include "deco/eval/runner.h"
 #include "deco/runtime/session_manager.h"
 #include "deco/tensor/check.h"
 
@@ -19,45 +19,32 @@ namespace deco::scenario {
 
 namespace {
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-bool is_condensation_method(const std::string& m) {
-  return m == "deco" || m == "dc" || m == "dsa" || m == "dm" || m == "mtt";
-}
-
-bool is_known_method(const std::string& m) {
-  if (is_condensation_method(m) || m == "upper_bound") return true;
-  try {
-    (void)baselines::strategy_from_name(m);
-    return true;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-std::unique_ptr<condense::Condenser> make_condenser(
-    const std::string& method, const nn::ConvNetConfig& mc,
-    const condense::DecoCondenserConfig& deco_cfg, uint64_t seed) {
-  if (method == "deco")
-    return std::make_unique<condense::DecoCondenser>(mc, deco_cfg, seed);
-  if (method == "dc" || method == "dsa") {
-    condense::BilevelConfig bc;
-    bc.dsa_strategy =
-        method == "dsa" ? "flip_shift_scale_rotate_color_cutout" : "";
-    return std::make_unique<condense::BilevelCondenser>(mc, bc, seed);
-  }
-  if (method == "dm")
-    return std::make_unique<condense::DmCondenser>(mc, condense::DmConfig{},
-                                                   seed);
-  if (method == "mtt")
-    return std::make_unique<condense::MttCondenser>(mc, condense::MttConfig{},
-                                                    seed);
-  DECO_CHECK(false, "scenario: not a condensation method: " + method);
-  return nullptr;
+/// One session's protocol as the runner's RunConfig: the harness knobs, with
+/// the session variant's overrides and the scenario's cache dtype applied.
+eval::RunConfig session_config(const ScenarioSpec& spec,
+                               const SessionVariant& variant,
+                               const std::string& method,
+                               const HarnessOptions& options) {
+  eval::RunConfig cfg;
+  cfg.method = method;
+  cfg.spec = dataset_spec_by_name(spec.dataset);
+  if (variant.image_hw > 0) cfg.spec.height = cfg.spec.width = variant.image_hw;
+  cfg.ipc = variant.ipc > 0 ? variant.ipc : options.ipc;
+  cfg.deco.storage.cache_dtype = spec.cache_dtype;
+  cfg.deco.beta = options.beta;
+  cfg.deco.model_update_epochs = options.model_update_epochs;
+  cfg.deco.condenser.iterations = options.condenser_iterations;
+  cfg.baseline.storage.cache_dtype = spec.cache_dtype;
+  cfg.baseline.beta = options.beta;
+  cfg.baseline.model_update_epochs = options.model_update_epochs;
+  cfg.pretrain_per_class = options.pretrain_per_class;
+  cfg.pretrain_epochs = options.pretrain_epochs;
+  cfg.test_per_class = options.test_per_class;
+  cfg.model_width =
+      variant.model_width > 0 ? variant.model_width : options.model_width;
+  cfg.model_depth = options.model_depth;
+  cfg.seed = options.seed;
+  return cfg;
 }
 
 /// Everything one session needs outside the SessionManager: its world and
@@ -101,9 +88,12 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
                     const HarnessOptions& options) {
   spec.validate();
   options.validate();
-  DECO_CHECK(is_known_method(method),
-             "scenario: unknown method '" + method + "'");
-  const double t_start = now_seconds();
+  // The runner's upper bound is an oracle fed ground-truth labels; sessions
+  // here only ever see unlabelled segments, so it would not be that oracle.
+  DECO_CHECK(method != "upper_bound",
+             "scenario: method 'upper_bound' needs labelled segments, which "
+             "the harness does not stream");
+  const double t_start = core::now_seconds();
   const uint64_t seed = options.seed;
 
   data::StreamConfig sc = spec.stream;
@@ -127,79 +117,20 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
     if (!spec.variants.empty())
       variant = spec.variants[static_cast<size_t>(i) % spec.variants.size()];
 
-    data::DatasetSpec ds = dataset_spec_by_name(spec.dataset);
-    if (variant.image_hw > 0) ds.height = ds.width = variant.image_hw;
     // The world is a pure function of (spec, seed): sessions with identical
     // variants observe the same world, heterogeneous ones get their own.
-    ctx.world =
-        std::make_unique<data::ProceduralImageWorld>(ds, seed * 7919 + 17);
-    data::Dataset pretrain =
-        ctx.world->make_labeled_set(options.pretrain_per_class, seed + 1);
-    ctx.test = std::make_unique<data::Dataset>(
-        ctx.world->make_test_set(options.test_per_class, seed + 2));
-
-    nn::ConvNetConfig mc;
-    mc.in_channels = ds.channels;
-    mc.image_h = ds.height;
-    mc.image_w = ds.width;
-    mc.num_classes = ds.num_classes;
-    mc.width = variant.model_width > 0 ? variant.model_width
-                                       : options.model_width;
-    mc.depth = options.model_depth;
-
-    Rng model_rng(seed * 0x9E37 + si * 1315423911ull + 0xC0FFEE);
-    auto model = std::make_shared<nn::ConvNet>(mc, model_rng);
-    {
-      std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-      for (int64_t k = 0; k < pretrain.size(); ++k)
-        all[static_cast<size_t>(k)] = k;
-      core::train_classifier(*model, pretrain.batch(all), pretrain.labels(),
-                             options.pretrain_epochs, 1e-3f, 5e-4f, 32,
-                             model_rng);
-    }
-
-    const int64_t ipc = variant.ipc > 0 ? variant.ipc : options.ipc;
-    std::unique_ptr<core::OnDeviceLearner> learner;
-    if (is_condensation_method(method)) {
-      core::DecoConfig dc;
-      dc.ipc = ipc;
-      dc.storage.cache_dtype = spec.cache_dtype;
-      dc.beta = options.beta;
-      dc.model_update_epochs = options.model_update_epochs;
-      dc.condenser.iterations = options.condenser_iterations;
-      auto condenser = make_condenser(method, mc, dc.condenser,
-                                      (seed + si * 977) ^ 0xD3C0DE);
-      auto deco = std::make_unique<core::DecoLearner>(
-          *model, dc, seed + 1000 + si, std::move(condenser));
-      deco->init_buffer_from(pretrain);
-      learner = std::move(deco);
-    } else if (method == "upper_bound") {
-      baselines::BaselineConfig bc;
-      bc.ipc = ipc;
-      bc.storage.cache_dtype = spec.cache_dtype;
-      bc.beta = options.beta;
-      bc.model_update_epochs = options.model_update_epochs;
-      auto ub = std::make_unique<baselines::UnlimitedLearner>(
-          *model, bc, seed + 1000 + si);
-      ub->init_buffer_from(pretrain);
-      learner = std::move(ub);
-    } else {
-      baselines::BaselineConfig bc;
-      bc.ipc = ipc;
-      bc.storage.cache_dtype = spec.cache_dtype;
-      bc.beta = options.beta;
-      bc.model_update_epochs = options.model_update_epochs;
-      auto bl = std::make_unique<baselines::BaselineLearner>(
-          *model, baselines::strategy_from_name(method), bc,
-          seed + 1000 + si);
-      bl->init_buffer_from(pretrain);
-      learner = std::move(bl);
-    }
+    const eval::RunConfig cfg = session_config(spec, variant, method, options);
+    eval::Deployment deployed = eval::deploy(cfg, i);
+    ctx.world = std::move(deployed.world);
+    ctx.test = std::make_unique<data::Dataset>(std::move(deployed.test));
+    std::unique_ptr<core::OnDeviceLearner> learner = eval::make_learner(
+        cfg, *deployed.model, deployed.warm_start, seed + 1000 + si,
+        (seed + si * 977) ^ 0xD3C0DE);
     // Under a memory-pressure budget, admission is expected to reject part
     // of the fleet — that's the measurement, not a failure. Rejected
     // sessions get no stream and drop out of every metric below.
     try {
-      manager.add_session(ctx.name, std::move(learner), model);
+      manager.add_session(ctx.name, std::move(learner), deployed.model);
     } catch (const Error&) {
       ctx.admitted = false;
       continue;
@@ -232,7 +163,7 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
     }
     if (spec.label_noise.active()) {
       ctx.chain.push_back(std::make_unique<data::LabelNoiseStream>(
-          *head, spec.label_noise, ds.num_classes, seed * 53 + 11 + si));
+          *head, spec.label_noise, cfg.spec.num_classes, seed * 53 + 11 + si));
       head = ctx.chain.back().get();
     }
     ctx.head = head;
@@ -367,7 +298,7 @@ CellResult run_cell(const ScenarioSpec& spec, const std::string& method,
     }
   }
 
-  cell.wall_seconds = now_seconds() - t_start;
+  cell.wall_seconds = core::now_seconds() - t_start;
   return cell;
 }
 

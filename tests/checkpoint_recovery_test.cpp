@@ -155,7 +155,11 @@ class CorruptStateTest : public ::testing::Test {
     model_ = std::make_unique<nn::ConvNet>(model_config(world_->spec()), mr);
     learner_ = std::make_unique<DecoLearner>(*model_, small_config(), 4);
     learner_->init_buffer_from(*labeled_);
-    path_ = temp_path("corrupt.state");
+    // One file per test: ctest runs the fixture's tests as parallel processes.
+    path_ = temp_path(std::string(::testing::UnitTest::GetInstance()
+                                      ->current_test_info()
+                                      ->name()) +
+                      ".corrupt.state");
     learner_->save_state(path_);
     probe_ = labeled_->batch({0, 1});
     before_ = learner_->model().forward(probe_);

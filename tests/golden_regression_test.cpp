@@ -1,17 +1,27 @@
-// Golden-value regression test: a tiny fixed-seed DECO run (3 classes, 8×8
-// frames, 2 stream segments) whose scalar outputs are pinned against the
-// committed fixture tests/golden/learner_small.txt at 1e-6 tolerance. Any
-// change to the numerics — kernels, layer order, rng consumption, condenser
-// update rule — shows up here as a precise diff instead of a silent drift.
+// Golden-value regression tests, pinned against committed fixtures at 1e-6
+// tolerance:
+//   * tests/golden/learner_small.txt — a tiny fixed-seed DECO run (3 classes,
+//     8×8 frames, 2 stream segments). Any change to the numerics — kernels,
+//     layer order, rng consumption, condenser update rule — shows up here as
+//     a precise diff instead of a silent drift.
+//   * tests/golden/run_experiment_mini.txt — eval::run_experiment for every
+//     runner method at runner_test's mini config. This pins the experiment
+//     lineage itself: world, warm-start and test seeds, the pre-training
+//     recipe, and the learner and condenser seeds each method is built with.
 //
-// Regenerating the fixture (after an INTENDED numeric change):
+// Both fixtures hold the floating-point results of the default Release build
+// (-O3 -march=native) on x86-64 with AVX-512. A build with other flags or for
+// another vector width rounds differently, and a flipped pseudo-label vote
+// moves the run_experiment values by a whole sample.
 //
-//   DECO_REGEN_GOLDEN=1 ./deco_tests --gtest_filter='GoldenRegression*'
+// Regenerating a fixture (after an INTENDED numeric change):
 //
-// then commit the rewritten tests/golden/learner_small.txt together with the
-// change that motivated it, and say why in the commit message. The file is
-// found via the DECO_SOURCE_DIR compile definition, so regeneration works
-// from any build directory.
+//   DECO_REGEN_GOLDEN=1 ./deco_slow_tests --gtest_filter='GoldenRegression*'
+//
+// then commit the rewritten fixture together with the change that motivated
+// it, and say why in the commit message. The files are found via the
+// DECO_SOURCE_DIR compile definition, so regeneration works from any build
+// directory.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,14 +33,15 @@
 #include "deco/core/learner.h"
 #include "deco/data/world.h"
 #include "deco/eval/metrics.h"
+#include "deco/eval/runner.h"
 #include "deco/nn/convnet.h"
 
 namespace deco {
 namespace {
 
-const char* kGoldenRelPath = "/tests/golden/learner_small.txt";
-
-std::string golden_path() { return std::string(DECO_SOURCE_DIR) + kGoldenRelPath; }
+std::string golden_path(const std::string& name) {
+  return std::string(DECO_SOURCE_DIR) + "/tests/golden/" + name;
+}
 
 // One deterministic tiny run; every scalar it returns is golden-pinned.
 // Ordered map so the regenerated fixture is stable line-for-line.
@@ -105,18 +116,20 @@ void write_golden(const std::string& path,
   for (const auto& [key, value] : values) out << key << " " << value << "\n";
 }
 
-TEST(GoldenRegression, TinyLearnerRunMatchesFixture) {
-  const std::map<std::string, double> got = run_scenario();
-
+// Compares `got` against the fixture `name`, or rewrites the fixture under
+// DECO_REGEN_GOLDEN.
+void expect_matches_golden(const std::string& name,
+                           const std::map<std::string, double>& got) {
+  const std::string path = golden_path(name);
   if (std::getenv("DECO_REGEN_GOLDEN") != nullptr) {
-    write_golden(golden_path(), got);
-    SUCCEED() << "regenerated " << golden_path();
+    write_golden(path, got);
+    SUCCEED() << "regenerated " << path;
     return;
   }
 
-  const std::map<std::string, double> want = read_golden(golden_path());
+  const std::map<std::string, double> want = read_golden(path);
   ASSERT_FALSE(want.empty())
-      << "missing fixture " << golden_path()
+      << "missing fixture " << path
       << " — run with DECO_REGEN_GOLDEN=1 to create it";
   ASSERT_EQ(got.size(), want.size()) << "scenario keys changed; regenerate";
   for (const auto& [key, expected] : want) {
@@ -125,6 +138,47 @@ TEST(GoldenRegression, TinyLearnerRunMatchesFixture) {
     const double tol = 1e-6 * std::max(1.0, std::abs(expected));
     EXPECT_NEAR(it->second, expected, tol) << "golden drift in " << key;
   }
+}
+
+TEST(GoldenRegression, TinyLearnerRunMatchesFixture) {
+  expect_matches_golden("learner_small.txt", run_scenario());
+}
+
+// runner_test's mini config: iCub1, 4 segments of 12 frames, IpC 2, beta 2.
+eval::RunConfig mini_config(const std::string& method) {
+  eval::RunConfig cfg;
+  cfg.method = method;
+  cfg.spec = data::icub1_spec();
+  cfg.stream.stc = 12;
+  cfg.stream.segment_size = 12;
+  cfg.stream.total_segments = 4;
+  cfg.ipc = 2;
+  cfg.deco.beta = 2;
+  cfg.deco.model_update_epochs = 3;
+  cfg.deco.condenser.iterations = 2;
+  cfg.baseline.beta = 2;
+  cfg.baseline.model_update_epochs = 3;
+  cfg.pretrain_per_class = 4;
+  cfg.pretrain_epochs = 10;
+  cfg.test_per_class = 8;
+  cfg.model_width = 8;
+  cfg.model_depth = 2;
+  cfg.seed = 1;
+  return cfg;
+}
+
+TEST(GoldenRegression, RunExperimentLineageMatchesFixture) {
+  std::map<std::string, double> got;
+  for (const char* method : {"deco", "dc", "dsa", "dm", "random", "fifo",
+                             "selective_bp", "kcenter", "gss", "upper_bound"}) {
+    const eval::RunResult r = eval::run_experiment(mini_config(method));
+    const std::string pre = std::string(method) + "_";
+    got[pre + "pretrain_accuracy"] = r.pretrain_accuracy;
+    got[pre + "final_accuracy"] = r.final_accuracy;
+    got[pre + "pseudo_label_accuracy"] = r.pseudo_label_accuracy;
+    got[pre + "retention_rate"] = r.retention_rate;
+  }
+  expect_matches_golden("run_experiment_mini.txt", got);
 }
 
 }  // namespace

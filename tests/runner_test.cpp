@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "deco/eval/metrics.h"
 #include "deco/tensor/check.h"
 
 namespace deco::eval {
@@ -82,6 +85,62 @@ TEST(RunnerTest, RunSeedsProducesOnePerSeed) {
 TEST(RunnerTest, UnknownMethodThrows) {
   RunConfig cfg = mini_config("definitely_not_a_method");
   EXPECT_THROW(run_experiment(cfg), Error);
+}
+
+TEST(RunnerTest, UnknownMethodErrorNamesTheMethod) {
+  RunConfig cfg = mini_config("definitely_not_a_method");
+  Deployment d = deploy(cfg);
+  try {
+    make_learner(cfg, *d.model, d.warm_start, 1, 2);
+    FAIL() << "make_learner accepted an unknown method";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("definitely_not_a_method"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(RunnerTest, DeployMatchesRunExperimentAndSessionOnlyMovesTheModel) {
+  RunConfig cfg = mini_config("fifo");
+  Deployment d = deploy(cfg);
+  EXPECT_FLOAT_EQ(accuracy(*d.model, d.test),
+                  run_experiment(cfg).pretrain_accuracy);
+
+  // Another session shares the world and data sets but not the model init.
+  Deployment other = deploy(cfg, 1);
+  EXPECT_EQ(other.warm_start.labels(), d.warm_start.labels());
+  EXPECT_EQ(other.test.labels(), d.test.labels());
+  const Tensor& w0 = *d.model->parameters()[0].value;
+  const Tensor& w1 = *other.model->parameters()[0].value;
+  ASSERT_EQ(w0.numel(), w1.numel());
+  bool differs = false;
+  for (int64_t i = 0; i < w0.numel(); ++i) differs |= w0[i] != w1[i];
+  EXPECT_TRUE(differs) << "session must perturb the model initialisation";
+}
+
+TEST(RunnerTest, ObserverSeesTheLearnerBehindFinalAccuracy) {
+  for (const char* method : {"deco", "fifo"}) {
+    RunConfig cfg = mini_config(method);
+    const Deployment d = deploy(cfg);  // same test set as the run
+    int calls = 0;
+    float observed = -1.0f;
+    const RunResult res =
+        run_experiment(cfg, [&](core::OnDeviceLearner& learner) {
+          ++calls;
+          observed = accuracy(learner.model(), d.test);
+        });
+    EXPECT_EQ(calls, 1) << method;
+    EXPECT_EQ(observed, res.final_accuracy) << method;
+  }
+}
+
+TEST(RunnerTest, ForgettingIsMeasuredOnlyWithSnapshots) {
+  RunConfig cfg = mini_config("fifo");
+  EXPECT_EQ(run_experiment(cfg).forgetting, 0.0f) << "no eval points";
+  cfg.eval_every_segments = 2;
+  const RunResult res = run_experiment(cfg);
+  EXPECT_GE(res.forgetting, 0.0f);
+  EXPECT_LE(res.forgetting, 100.0f);
 }
 
 TEST(RunnerTest, DcRunsEndToEndSmall) {

@@ -394,6 +394,18 @@ TEST(ScenarioHarness, RejectsUnknownMethodAndBadOptions) {
                Error);
 }
 
+TEST(ScenarioHarness, RejectsUpperBoundNamingIt) {
+  // The harness streams unlabelled segments, so it cannot run the oracle.
+  try {
+    scenario::run_cell(scenario::scenario_by_name("clean"), "upper_bound",
+                       tiny_options());
+    FAIL() << "run_cell accepted upper_bound";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("upper_bound"), std::string::npos)
+        << e.what();
+  }
+}
+
 // The memory-pressure pair is the ROADMAP's "sessions per budget" cell: the
 // same oversized fleet offered to the same 1 MiB admission budget, with only
 // the cache storage dtype differing. Condensation methods allocate their

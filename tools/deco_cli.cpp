@@ -22,7 +22,6 @@
 
 #include "deco/core/learner.h"
 #include "deco/core/thread_pool.h"
-#include "deco/data/stream.h"
 #include "deco/eval/metrics.h"
 #include "deco/eval/runner.h"
 #include "deco/nn/checkpoint.h"
@@ -84,7 +83,6 @@ struct RunOptions {
   int64_t eval_every = 0;
   int64_t width = 32;
   int64_t depth = 3;
-  std::string pooling = "avg";
   std::string dump_buffer;   // directory for PPM dumps of the buffer
   std::string save_model;    // checkpoint path
   ConfigSources config;
@@ -110,9 +108,9 @@ void print_run_help() {
       "  --eval-every N   record a learning-curve point every N segments\n"
       "  --width N        ConvNet width                       (default 32)\n"
       "  --depth N        ConvNet conv blocks                 (default 3)\n"
-      "  --pooling P      avg | max                           (default avg)\n"
-      "  --dump-buffer DIR  write the final synthetic buffer as PPM images\n"
-      "  --save-model PATH  write the final model checkpoint\n"
+      "  --dump-buffer DIR  write the final synthetic buffer of seed --seed as\n"
+      "                   PPM images (deco | dc | dsa | dm)\n"
+      "  --save-model PATH  write the final model checkpoint of seed --seed\n"
       "  --config FILE    key=value (or .json) config file: deco.*, stream.*\n"
       "  --set key=value  single config override (repeatable)\n");
 }
@@ -138,7 +136,6 @@ bool parse_run_args(int argc, char** argv, int first, RunOptions& opt) {
     else if (a == "--eval-every") opt.eval_every = std::atoll(next());
     else if (a == "--width") opt.width = std::atoll(next());
     else if (a == "--depth") opt.depth = std::atoll(next());
-    else if (a == "--pooling") opt.pooling = next();
     else if (a == "--dump-buffer") opt.dump_buffer = next();
     else if (a == "--save-model") opt.save_model = next();
     else if (a == "--config") opt.config.file = next();
@@ -148,61 +145,18 @@ bool parse_run_args(int argc, char** argv, int first, RunOptions& opt) {
   return true;
 }
 
-// Dedicated path when artifacts are requested: run one DECO experiment with
-// direct access to the learner so we can dump its buffer / model afterwards.
-void run_with_artifacts(const RunOptions& opt, runtime::ConfigMap& cm) {
-  const data::DatasetSpec spec = spec_by_name(opt.dataset);
-  data::ProceduralImageWorld world(spec, opt.seed * 7919 + 17);
-  data::Dataset pretrain = world.make_labeled_set(6, opt.seed + 1);
-  data::Dataset test = world.make_test_set(30, opt.seed + 2);
-
-  nn::ConvNetConfig mc;
-  mc.in_channels = spec.channels;
-  mc.image_h = spec.height;
-  mc.image_w = spec.width;
-  mc.num_classes = spec.num_classes;
-  mc.width = opt.width;
-  mc.depth = opt.depth;
-  mc.pooling = opt.pooling == "max" ? nn::Pooling::kMax : nn::Pooling::kAvg;
-
-  Rng rng(opt.seed * 0x9E37 + 0xC0FFEE);
-  nn::ConvNet model(mc, rng);
-  std::vector<int64_t> all(static_cast<size_t>(pretrain.size()));
-  for (int64_t i = 0; i < pretrain.size(); ++i) all[static_cast<size_t>(i)] = i;
-  core::train_classifier(model, pretrain.batch(all), pretrain.labels(), 20,
-                         1e-3f, 5e-4f, 32, rng);
-  std::printf("pretrain accuracy: %.2f%%\n", eval::accuracy(model, test));
-
-  core::DecoConfig cfg;
-  cfg.ipc = opt.ipc;
-  cfg.beta = opt.beta;
-  cfg.model_update_epochs = opt.epochs;
-  cfg.threshold_m = opt.threshold_m;
-  cfg.condenser.alpha = opt.alpha;
-  cfg.condenser.iterations = opt.iterations;
-  data::StreamConfig sc;
-  sc.stc = opt.stc;
-  sc.segment_size = opt.segment_size;
-  sc.total_segments = opt.segments;
-  cm.apply(cfg);
-  cm.apply(sc);
-  cm.check_fully_consumed();
-
-  core::DecoLearner learner(model, cfg, opt.seed + 3);
-  learner.init_buffer_from(pretrain);
-
-  data::TemporalStream stream(world, sc, opt.seed + 4);
-  data::Segment seg;
-  while (stream.next(seg)) learner.observe_segment(seg.images);
-
-  std::printf("final accuracy:    %.2f%%  (condense %.1fs)\n",
-              eval::accuracy(model, test), learner.condense_seconds());
-
+// Writes the artifacts --dump-buffer / --save-model ask for from the
+// finished learner of one run.
+void write_artifacts(const RunOptions& opt, core::OnDeviceLearner& learner) {
   if (!opt.dump_buffer.empty()) {
-    auto& buf = learner.buffer();
+    auto* deco = dynamic_cast<core::DecoLearner*>(&learner);
+    DECO_CHECK(deco != nullptr,
+               "--dump-buffer needs a condensation method (deco | dc | dsa | "
+               "dm), not '" + opt.method + "'");
+    const condense::SyntheticBuffer& buf = deco->buffer();
     for (int64_t r = 0; r < buf.size(); ++r) {
       Tensor img = buf.gather({r}).reshaped(
-          {spec.channels, spec.height, spec.width});
+          {buf.channels(), buf.height(), buf.width()});
       const std::string path = opt.dump_buffer + "/class" +
                                std::to_string(buf.label(r)) + "_slot" +
                                std::to_string(r % buf.ipc()) + ".ppm";
@@ -212,7 +166,7 @@ void run_with_artifacts(const RunOptions& opt, runtime::ConfigMap& cm) {
                 static_cast<long long>(buf.size()), opt.dump_buffer.c_str());
   }
   if (!opt.save_model.empty()) {
-    nn::save_checkpoint(opt.save_model, model);
+    nn::save_checkpoint(opt.save_model, learner.model());
     std::printf("saved model checkpoint to %s\n", opt.save_model.c_str());
   }
 }
@@ -224,13 +178,6 @@ int cmd_run(int argc, char** argv, int first) {
     return 0;
   }
   runtime::ConfigMap cm = opt.config.build();
-
-  if (!opt.dump_buffer.empty() || !opt.save_model.empty()) {
-    DECO_CHECK(opt.method == "deco",
-               "--dump-buffer/--save-model require --method deco");
-    run_with_artifacts(opt, cm);
-    return 0;
-  }
 
   eval::RunConfig cfg;
   cfg.method = opt.method;
@@ -261,7 +208,10 @@ int cmd_run(int argc, char** argv, int first) {
   std::vector<float> finals;
   for (int64_t s = 0; s < opt.seeds; ++s) {
     cfg.seed = opt.seed + static_cast<uint64_t>(s);
-    const auto res = eval::run_experiment(cfg);
+    eval::LearnerObserver on_finish;
+    if (s == 0 && (!opt.dump_buffer.empty() || !opt.save_model.empty()))
+      on_finish = [&](core::OnDeviceLearner& l) { write_artifacts(opt, l); };
+    const auto res = eval::run_experiment(cfg, on_finish);
     std::printf("seed %llu: pretrain %.2f%% -> final %.2f%%  "
                 "(pseudo-label acc %.1f%%, retained %.1f%%, condense %.1fs)\n",
                 static_cast<unsigned long long>(cfg.seed),

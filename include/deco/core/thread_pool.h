@@ -14,6 +14,11 @@
 // parallelized kernel in the library relies on; see docs/EXTENDING.md
 // ("The threading model") before parallelizing a new op.
 //
+// Grains come from grain_for(work_per_item): every chunk carries about the
+// same amount of work, so a job whose total work fits one grain is a single
+// chunk, and run() executes single-chunk jobs inline on the caller. That is
+// the per-op work threshold below which an op never touches the workers.
+//
 // Nested parallel regions degrade gracefully: a parallel_for issued from
 // inside a pool task runs inline on the calling worker, so outer-level
 // parallelism (e.g. per-seed evaluation fan-out) composes with the parallel
@@ -69,6 +74,12 @@ int num_threads();
 /// work. Thread-count changes never change numeric results — that is the
 /// whole point of the deterministic-chunking contract.
 void set_num_threads(int threads);
+
+/// Items per chunk for a loop whose items each carry `work_per_item` scalar
+/// operations: batches about 64K scalars of work per chunk, and never less
+/// than one item. A pure function of its input — never of the thread count —
+/// so the chunking (and any ordered reduction over it) stays deterministic.
+int64_t grain_for(int64_t work_per_item);
 
 /// Runs fn(chunk_begin, chunk_end) over [begin, end) in chunks of exactly
 /// `grain` iterations (the final chunk may be short). Chunk boundaries are a

@@ -36,12 +36,6 @@ void ensure_velocity(Tensor& velocity, const SyntheticBuffer& buffer) {
 
 // Momentum-SGD update restricted to the given buffer rows, reading the
 // buffer's gradient tensor. Rows not listed keep both image and velocity.
-// A grain that batches ~64K scalars of per-row work into one pool chunk; a
-// pure function of the row size, so chunking never depends on thread count.
-int64_t rows_grain(int64_t per) {
-  return std::max<int64_t>(1, (int64_t{1} << 16) / std::max<int64_t>(1, per));
-}
-
 void sgd_rows(SyntheticBuffer& buffer, const std::vector<int64_t>& rows,
               float lr, float momentum, Tensor& velocity) {
   const int64_t per =
@@ -51,7 +45,8 @@ void sgd_rows(SyntheticBuffer& buffer, const std::vector<int64_t>& rows,
   const float* grd = buffer.grads().data();
   const int64_t n_rows = static_cast<int64_t>(rows.size());
   // Rows are unique, so every chunk updates a disjoint slice of the buffer.
-  core::parallel_for(0, n_rows, rows_grain(per), [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, n_rows, core::grain_for(per),
+                     [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const int64_t r = rows[static_cast<size_t>(i)];
       float* w = img + r * per;
@@ -115,7 +110,8 @@ void gather_rows_into(const Tensor& full, const std::vector<int64_t>& rows,
   }
   const float* src = full.data();
   float* dst = out.data();
-  core::parallel_for(0, n_rows, rows_grain(per), [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, n_rows, core::grain_for(per),
+                     [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const int64_t r = rows[static_cast<size_t>(i)];
       std::copy(src + r * per, src + (r + 1) * per, dst + i * per);
@@ -128,7 +124,8 @@ void scatter_rows(Tensor& full, const std::vector<int64_t>& rows,
   const float* src = values.data();
   float* dst = full.data();
   const int64_t n_rows = static_cast<int64_t>(rows.size());
-  core::parallel_for(0, n_rows, rows_grain(per), [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, n_rows, core::grain_for(per),
+                     [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const int64_t r = rows[static_cast<size_t>(i)];
       std::copy(src + i * per, src + (i + 1) * per, dst + r * per);
@@ -151,7 +148,7 @@ bool rows_finite(const Tensor& full, const std::vector<int64_t>& rows,
   // char partials, not bool: vector<bool> is bit-packed and concurrent chunk
   // writes to neighbouring bits would race.
   return core::parallel_reduce<char>(
-             0, n_rows, rows_grain(per), char{1},
+             0, n_rows, core::grain_for(per), char{1},
              [&](int64_t i0, int64_t i1) -> char {
                for (int64_t i = i0; i < i1; ++i) {
                  const int64_t r = rows[static_cast<size_t>(i)];

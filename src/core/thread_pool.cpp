@@ -1,5 +1,6 @@
 #include "deco/core/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <condition_variable>
@@ -53,6 +54,8 @@ struct ThreadPool::Impl {
     const std::function<void(int64_t)>* task = nullptr;
     int64_t total_chunks = 0;
     std::atomic<int64_t> next_chunk{0};
+    // Set once a chunk has thrown; later claims finish without running.
+    std::atomic<bool> failed{false};
     // Guarded by the pool mutex:
     int64_t done_chunks = 0;
     std::exception_ptr first_error;
@@ -79,20 +82,15 @@ struct ThreadPool::Impl {
     for (;;) {
       const int64_t c = j.next_chunk.fetch_add(1, std::memory_order_relaxed);
       if (c >= j.total_chunks) break;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (j.first_error) {  // an earlier chunk threw: finish without running
-          ++did;
-          continue;
-        }
-      }
+      ++did;
+      if (j.failed.load(std::memory_order_relaxed)) continue;
       try {
         (*j.task)(c);
       } catch (...) {
         std::lock_guard<std::mutex> lk(mu);
         if (!j.first_error) j.first_error = std::current_exception();
+        j.failed.store(true, std::memory_order_relaxed);
       }
-      ++did;
     }
     return did;
   }
@@ -224,6 +222,11 @@ void set_num_threads(int threads) {
   DECO_CHECK(!ThreadPool::in_worker(),
              "set_num_threads() called from inside a pool task");
   global_pool_slot() = std::make_unique<ThreadPool>(threads < 1 ? 1 : threads);
+}
+
+int64_t grain_for(int64_t work_per_item) {
+  constexpr int64_t kChunkWork = int64_t{1} << 16;
+  return std::max<int64_t>(1, kChunkWork / std::max<int64_t>(1, work_per_item));
 }
 
 void run_chunks(int64_t num_chunks, const std::function<void(int64_t)>& task) {

@@ -13,7 +13,7 @@ Tensor ReLU::forward(const Tensor& input) {
   if (!mask_.same_shape(input)) mask_ = Tensor(input.shape());
   float* po = out.data();
   float* pm = mask_.data();
-  core::parallel_for(0, out.numel(), int64_t{1} << 16,
+  core::parallel_for(0, out.numel(), core::grain_for(1),
                      [&](int64_t i0, int64_t i1) {
                        for (int64_t i = i0; i < i1; ++i) {
                          const bool pos = po[i] > 0.0f;
@@ -48,7 +48,8 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   const float* pi = input.data();
   float* po = out.data();
   // Each (n, c) plane is pooled independently: disjoint reads and writes.
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, N * C, core::grain_for(H * W),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const float* img = pi + nc * H * W;
       float* dst = po + nc * oh * ow;
@@ -80,7 +81,8 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
   const float* pg = grad_output.data();
   float* pi = grad_input.data();
   // Pooling windows never straddle planes, so per-plane scatter is disjoint.
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, N * C, core::grain_for(H * W),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       float* img = pi + nc * H * W;
       const float* src = pg + nc * oh * ow;
@@ -113,7 +115,8 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   argmax_.assign(static_cast<size_t>(out.numel()), 0);
   const float* pi = input.data();
   float* po = out.data();
-  core::parallel_for(0, N * C, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, N * C, core::grain_for(H * W),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const float* img = pi + nc * H * W;
       float* dst = po + nc * oh * ow;
@@ -155,7 +158,8 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
   const int64_t oh = H / kernel_, ow = W / kernel_;
   const int64_t plane_out = oh * ow;
   const int64_t planes = grad_output.numel() / plane_out;
-  core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, planes, core::grain_for(H * W),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       for (int64_t i = nc * plane_out; i < (nc + 1) * plane_out; ++i)
         pi[argmax_[static_cast<size_t>(i)]] += pg[i];

@@ -49,7 +49,8 @@ Tensor Conv2d::forward(const Tensor& input) {
   const int64_t total_cols = last_batch_ * per_sample;
   // out_mat is [out_ch, N*oh*ow] with sample-major columns; permute to NCHW.
   // Output channels write disjoint planes, so the split is deterministic.
-  core::parallel_for(0, out_channels_, 1, [&](int64_t oc0, int64_t oc1) {
+  core::parallel_for(0, out_channels_, core::grain_for(total_cols),
+                     [&](int64_t oc0, int64_t oc1) {
     for (int64_t oc = oc0; oc < oc1; ++oc) {
       const float* src = pm + oc * total_cols;
       const float b = pb[oc];
@@ -84,7 +85,8 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   float* pbg = bias_grad_.data();
   // Per-channel: the permuted row and the bias-grad slot are private to oc,
   // and each channel's batch sum stays in the serial order.
-  core::parallel_for(0, out_channels_, 1, [&](int64_t oc0, int64_t oc1) {
+  core::parallel_for(0, out_channels_, core::grain_for(total_cols),
+                     [&](int64_t oc0, int64_t oc1) {
     for (int64_t oc = oc0; oc < oc1; ++oc) {
       float* dst = pm + oc * total_cols;
       double bacc = 0.0;

@@ -32,7 +32,8 @@ Tensor Linear::forward(const Tensor& input) {
   const int64_t n = out.dim(0);
   float* po = out.data();
   const float* pb = bias_.data();
-  core::parallel_for(0, n, 64, [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, n, core::grain_for(out_features_),
+                     [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i)
       for (int64_t j = 0; j < out_features_; ++j)
         po[i * out_features_ + j] += pb[j];
@@ -52,7 +53,8 @@ Tensor Linear::backward(const Tensor& grad_output) {
   float* pbg = bias_grad_.data();
   // Each output feature owns its bias-grad slot; the batch sum per feature
   // keeps the serial order, so the split is bitwise deterministic.
-  core::parallel_for(0, out_features_, 16, [&](int64_t j0, int64_t j1) {
+  core::parallel_for(0, out_features_, core::grain_for(n),
+                     [&](int64_t j0, int64_t j1) {
     for (int64_t j = j0; j < j1; ++j) {
       double acc = 0.0;
       for (int64_t i = 0; i < n; ++i) acc += pg[i * out_features_ + j];

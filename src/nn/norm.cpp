@@ -46,7 +46,8 @@ Tensor InstanceNorm2d::forward(const Tensor& input) {
 
   // Every (n, c) plane is normalized independently: disjoint writes, so the
   // batch-parallel split is bitwise deterministic.
-  core::parallel_for(0, N * channels_, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, N * channels_, core::grain_for(M),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const int64_t c = nc % channels_;
       const float* src = pi + nc * M;
@@ -96,7 +97,8 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
   const int64_t planes = N * channels_;
   std::vector<double> plane_sum_dy(static_cast<size_t>(planes));
   std::vector<double> plane_sum_dy_xh(static_cast<size_t>(planes));
-  core::parallel_for(0, planes, 1, [&](int64_t nc0, int64_t nc1) {
+  core::parallel_for(0, planes, core::grain_for(M),
+                     [&](int64_t nc0, int64_t nc1) {
     for (int64_t nc = nc0; nc < nc1; ++nc) {
       const int64_t c = nc % channels_;
       const float* dy = pdy + nc * M;

@@ -50,17 +50,10 @@ static_assert(kNC % kNR == 0, "NC must be a multiple of NR");
 
 int64_t div_up(int64_t a, int64_t b) { return (a + b - 1) / b; }
 
-// Strip grain sized so one pack chunk carries ~64k copies (same policy as
-// row_grain in ops.cpp): pure function of the shape, never the thread count.
-int64_t strip_grain(int64_t work_per_strip) {
-  constexpr int64_t kChunkWork = 1 << 16;
-  return std::max<int64_t>(1, kChunkWork / std::max<int64_t>(1, work_per_strip));
-}
-
 void pack_a(const float* a, int64_t a_rs, int64_t a_cs, int64_t m, int64_t k,
             float* pack) {
   const int64_t strips = div_up(m, kMR);
-  core::parallel_for(0, strips, strip_grain(k * kMR),
+  core::parallel_for(0, strips, core::grain_for(k * kMR),
                      [&](int64_t s0, int64_t s1) {
     for (int64_t s = s0; s < s1; ++s) {
       float* dst = pack + s * k * kMR;
@@ -81,7 +74,7 @@ void pack_a(const float* a, int64_t a_rs, int64_t a_cs, int64_t m, int64_t k,
 void pack_b(const float* b, int64_t b_rs, int64_t b_cs, int64_t k, int64_t n,
             float* pack) {
   const int64_t strips = div_up(n, kNR);
-  core::parallel_for(0, strips, strip_grain(k * kNR),
+  core::parallel_for(0, strips, core::grain_for(k * kNR),
                      [&](int64_t s0, int64_t s1) {
     for (int64_t s = s0; s < s1; ++s) {
       float* dst = pack + s * k * kNR;

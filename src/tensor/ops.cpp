@@ -25,16 +25,6 @@ void check_acc_shape(const Tensor& out, int64_t m, int64_t n, const char* op) {
              std::string(op) + ": accumulator shape " + out.shape_str() +
                  " does not match result");
 }
-
-// Rows per parallel chunk, sized so a chunk carries ~64k scalar ops: small
-// kernels collapse to one chunk (pure serial, no dispatch overhead), large
-// ones split into enough chunks to load every worker. The grain is a pure
-// function of the problem shape — never of the thread count — which is what
-// keeps chunked reductions bitwise deterministic (see thread_pool.h).
-int64_t row_grain(int64_t work_per_row) {
-  constexpr int64_t kChunkWork = 1 << 16;
-  return std::max<int64_t>(1, kChunkWork / std::max<int64_t>(1, work_per_row));
-}
 }  // namespace
 
 // The three matmul variants all lower onto detail::gemm_strided, which packs
@@ -152,7 +142,8 @@ void im2col_into(const Tensor& input, const Conv2dGeometry& g, Tensor& cols) {
   const int64_t total_cols = N * cols_per_sample;
 
   // Each (c, ky, kx) triple owns one disjoint output row of `cols`.
-  core::parallel_for(0, rows, row_grain(total_cols), [&](int64_t r0, int64_t r1) {
+  core::parallel_for(0, rows, core::grain_for(total_cols),
+                     [&](int64_t r0, int64_t r1) {
     for (int64_t row = r0; row < r1; ++row) {
       const int64_t kx = row % g.kernel_w;
       const int64_t ky = (row / g.kernel_w) % g.kernel_h;
@@ -200,7 +191,7 @@ void col2im_into(const Tensor& cols, const Conv2dGeometry& g, Tensor& grad_input
   // therefore the float result — identical for every thread count.
   const int64_t plane_work = g.kernel_h * g.kernel_w * cols_per_sample;
   core::parallel_for(
-      0, g.in_channels * N, row_grain(plane_work),
+      0, g.in_channels * N, core::grain_for(plane_work),
       [&](int64_t p0, int64_t p1) {
         for (int64_t p = p0; p < p1; ++p) {
           const int64_t c = p / N;
@@ -231,7 +222,7 @@ void softmax_rows_into(const Tensor& logits, Tensor& probs) {
   ensure_shape(probs, {r, c});
   const float* pl = logits.data();
   float* pp = probs.data();
-  core::parallel_for(0, r, row_grain(4 * c), [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, r, core::grain_for(4 * c), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* in = pl + i * c;
       float* out = pp + i * c;
@@ -260,7 +251,7 @@ void log_softmax_rows_into(const Tensor& logits, Tensor& out) {
   ensure_shape(out, {r, c});
   const float* pl = logits.data();
   float* po = out.data();
-  core::parallel_for(0, r, row_grain(4 * c), [&](int64_t i0, int64_t i1) {
+  core::parallel_for(0, r, core::grain_for(4 * c), [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* in = pl + i * c;
       float* o = po + i * c;
@@ -302,26 +293,6 @@ float cosine_similarity(const Tensor& a, const Tensor& b) {
   const float na = a.norm(), nb = b.norm();
   if (na < 1e-12f || nb < 1e-12f) return 0.0f;
   return dot(a, b) / (na * nb);
-}
-
-void sub_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  DECO_CHECK(a.numel() == b.numel(), "sub_into: numel mismatch");
-  ensure_shape(out, a.shape());
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* po = out.data();
-  core::parallel_for(0, a.numel(), 1 << 16, [&](int64_t i0, int64_t i1) {
-    for (int64_t i = i0; i < i1; ++i) po[i] = pa[i] - pb[i];
-  });
-}
-
-void copy_into(const Tensor& src, Tensor& dst) {
-  ensure_shape(dst, src.shape());
-  const float* ps = src.data();
-  float* pd = dst.data();
-  core::parallel_for(0, src.numel(), 1 << 17, [&](int64_t i0, int64_t i1) {
-    std::copy(ps + i0, ps + i1, pd + i0);
-  });
 }
 
 Tensor row(const Tensor& t, int64_t r) {

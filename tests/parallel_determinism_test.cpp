@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <filesystem>
@@ -139,19 +140,39 @@ TEST(ThreadPoolTest, SetNumThreadsInsidePoolTaskThrows) {
 }
 
 TEST(ThreadPoolTest, TaskExceptionPropagatesToCaller) {
+  // Every chunk from 37 on throws. In the job of >10k chunks many claims race
+  // past the first failure; either way the caller sees one exception, and the
+  // next job on the same pool covers its range exactly once.
   const int saved = core::num_threads();
   core::set_num_threads(4);
-  EXPECT_THROW(
-      core::parallel_for(0, 100, 1,
-                         [&](int64_t b, int64_t) {
-                           if (b == 37) throw std::runtime_error("boom");
-                         }),
-      std::runtime_error);
-  // The pool must stay usable after an exception.
-  std::atomic<int64_t> count{0};
-  core::parallel_for(0, 16, 1,
-                     [&](int64_t b, int64_t e) { count.fetch_add(e - b); });
-  EXPECT_EQ(count.load(), 16);
+  for (const int64_t n : {int64_t{100}, int64_t{20011}}) {
+    auto fail_from_37 = [](int64_t b, int64_t) {
+      if (b >= 37) throw std::runtime_error("boom");
+    };
+    EXPECT_THROW(core::parallel_for(0, n, 1, fail_from_37), std::runtime_error);
+    std::vector<int> hits(static_cast<size_t>(n), 0);
+    core::parallel_for(0, n, 1, [&](int64_t b, int64_t e) {
+      for (int64_t i = b; i < e; ++i) ++hits[static_cast<size_t>(i)];
+    });
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1), n) << "n=" << n;
+  }
+  core::set_num_threads(saved);
+}
+
+TEST(ThreadPoolTest, GrainForIsAPureWorkSizedGrain) {
+  EXPECT_EQ(core::grain_for(0), int64_t{1} << 16);
+  EXPECT_EQ(core::grain_for(-5), int64_t{1} << 16);
+  EXPECT_EQ(core::grain_for(1), int64_t{1} << 16);
+  EXPECT_EQ(core::grain_for(1024), 64);
+  EXPECT_EQ(core::grain_for(int64_t{1} << 16), 1);
+  EXPECT_EQ(core::grain_for((int64_t{1} << 16) + 1), 1);
+  EXPECT_EQ(core::grain_for(int64_t{1} << 40), 1);
+  // Pure in its input: the thread count never enters.
+  const int saved = core::num_threads();
+  for (int t : kSweep) {
+    core::set_num_threads(t);
+    EXPECT_EQ(core::grain_for(300), 218) << "at threads=" << t;
+  }
   core::set_num_threads(saved);
 }
 
@@ -213,34 +234,6 @@ TEST(ParallelDeterminismTest, SoftmaxFamily) {
   });
 }
 
-TEST(ParallelDeterminismTest, ConvNetForwardBackward) {
-  expect_bitwise_invariant([&] {
-    Rng rng(13);
-    nn::ConvNetConfig cfg;
-    cfg.in_channels = 3;
-    cfg.image_h = cfg.image_w = 16;
-    cfg.num_classes = 4;
-    cfg.width = 8;
-    cfg.depth = 2;
-    nn::ConvNet net(cfg, rng);
-    Tensor x = testing::random_tensor({5, 3, 16, 16}, rng, 0.5);
-    net.zero_grad();
-    Tensor logits = net.forward(x);
-    auto ce = nn::weighted_cross_entropy(logits, {0, 1, 2, 3, 0});
-    Tensor gx = net.backward(ce.grad_logits);
-    std::vector<unsigned char> out = bytes_of(logits);
-    const auto bgx = bytes_of(gx);
-    out.insert(out.end(), bgx.begin(), bgx.end());
-    for (auto& p : net.parameters()) {
-      const auto bg = bytes_of(*p.grad);
-      out.insert(out.end(), bg.begin(), bg.end());
-    }
-    return out;
-  });
-}
-
-// ---- condenser-level sweeps -------------------------------------------------
-
 nn::ConvNetConfig small_config() {
   nn::ConvNetConfig cfg;
   cfg.in_channels = 3;
@@ -250,6 +243,46 @@ nn::ConvNetConfig small_config() {
   cfg.depth = 2;
   return cfg;
 }
+
+// Logits, input gradient and every parameter gradient of one pass of a
+// small_config() net at the given batch, image side, width and pooling.
+std::vector<unsigned char> convnet_pass(int64_t batch, int64_t side,
+                                        int64_t width, nn::Pooling pooling) {
+  Rng rng(13);
+  nn::ConvNetConfig cfg = small_config();
+  cfg.image_h = cfg.image_w = side;
+  cfg.width = width;
+  cfg.pooling = pooling;
+  nn::ConvNet net(cfg, rng);
+  Tensor x = testing::random_tensor({batch, 3, side, side}, rng, 0.5);
+  std::vector<int64_t> labels(static_cast<size_t>(batch));
+  for (int64_t i = 0; i < batch; ++i) labels[static_cast<size_t>(i)] = i % 4;
+  net.zero_grad();
+  Tensor logits = net.forward(x);
+  auto ce = nn::weighted_cross_entropy(logits, labels);
+  Tensor gx = net.backward(ce.grad_logits);
+  std::vector<unsigned char> out = bytes_of(logits);
+  const auto bgx = bytes_of(gx);
+  out.insert(out.end(), bgx.begin(), bgx.end());
+  for (auto& p : net.parameters()) {
+    const auto bg = bytes_of(*p.grad);
+    out.insert(out.end(), bg.begin(), bg.end());
+  }
+  return out;
+}
+
+TEST(ParallelDeterminismTest, ConvNetForwardBackward) {
+  // 5x8x16x16 fits every layer loop in one grain, so it runs inline. At
+  // 16x32x32x32 activations the norm, pool and conv-permute loops split into
+  // 8 chunks in the first block (grain_for(1024) = 64 of 512 planes) and 2
+  // in the second.
+  expect_bitwise_invariant(
+      [] { return convnet_pass(5, 16, 8, nn::Pooling::kAvg); });
+  for (nn::Pooling pooling : {nn::Pooling::kAvg, nn::Pooling::kMax})
+    expect_bitwise_invariant([&] { return convnet_pass(16, 32, 32, pooling); });
+}
+
+// ---- condenser-level sweeps -------------------------------------------------
 
 struct CondenseFixture {
   CondenseFixture()

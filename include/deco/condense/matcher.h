@@ -1,12 +1,12 @@
 // One-step gradient matching with finite-difference input gradients — the
 // efficiency core of DECO (Section III-C, Eqs. 5–7).
 //
-// Exactly five forward-backward passes per call:
-//   1. g_real  = ∇_θ L_θ(X_real)          (confidence-weighted CE)
-//   2. g_syn   = ∇_θ L_θ(X_syn)
-//   3. ∇_{g_syn} D(g_syn, g_real)          (analytic, no network pass)
-//   4. ∇_X L at θ⁺ = θ + ε·∇D              (input-gradient backprop)
-//   5. ∇_X L at θ⁻ = θ − ε·∇D
+// Four forward-backward network passes plus one analytic step per call:
+//   1. g_real  = ∇_θ L_θ(X_real)          (weight gradients only, Grads::kParams)
+//   2. g_syn   = ∇_θ L_θ(X_syn)           (weight gradients only)
+//      ∇_{g_syn} D(g_syn, g_real)          (analytic, no network pass)
+//   3. ∇_X L at θ⁺ = θ + ε·∇D              (input gradient only, Grads::kInput)
+//   4. ∇_X L at θ⁻ = θ − ε·∇D              (input gradient only)
 // and the estimate ∇_X D ≈ (∇_X L_{θ⁺} − ∇_X L_{θ⁻}) / (2ε) with
 // ε = 0.01/‖∇_{g_syn}D‖₂ as in the paper (footnote 2, following DARTS).
 // Time and space are O(|θ| + |X|) rather than O(|θ|·|X|).

@@ -115,8 +115,7 @@ class DecoCondenser : public Condenser {
 
   /// Computes the feature-discrimination input gradient into disc_scratch_
   /// and returns its global norm (0 if no anchors had positive pairs).
-  float apply_feature_discrimination(const CondenseContext& ctx,
-                                     const std::vector<int64_t>& active_rows);
+  float apply_feature_discrimination(const CondenseContext& ctx);
 
   DecoCondenserConfig config_;
   Rng rng_;
@@ -161,9 +160,10 @@ class BilevelCondenser : public Condenser {
 // ---- DM (distribution matching) ----------------------------------------------
 
 struct DmConfig {
-  /// DM's per-iteration cost is much lower than a one-step matching pass (no
-  /// parameter gradients, no finite-difference passes), and the method needs
-  /// more iterations for its weaker per-class mean signal to shape the
+  /// DM's per-iteration cost is much lower than a one-step matching pass: its
+  /// encoder backprop computes the input gradient only (Grads::kInput, no
+  /// parameter gradients) and it runs no finite-difference passes. The method
+  /// needs more iterations for its weaker per-class mean signal to shape the
   /// images. 25 iterations calibrates DM's per-segment budget to the paper's
   /// relative execution time (Table II: DM ≈ 0.6× DECO's time).
   int64_t iterations = 25;

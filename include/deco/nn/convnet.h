@@ -34,12 +34,10 @@ class ConvNet : public Module {
 
   /// Full forward: logits [N, num_classes].
   Tensor forward(const Tensor& input) override;
-  /// Full backward from dL/dlogits; returns dL/dinput.
-  Tensor backward(const Tensor& grad_logits) override;
-
   /// Encoder-only forward: embedding [N, feature_dim].
   Tensor embed(const Tensor& input);
-  /// Encoder-only backward from dL/dembedding; returns dL/dinput.
+  /// Encoder-only backward from dL/dembedding; returns dL/dinput and
+  /// accumulates no parameter gradients (Grads::kInput).
   /// Must follow a matching embed() (or forward(), which also runs the encoder).
   Tensor backward_from_embedding(const Tensor& grad_embedding);
 
@@ -51,6 +49,9 @@ class ConvNet : public Module {
   const ConvNetConfig& config() const { return config_; }
 
  private:
+  /// Full backward from dL/dlogits; returns dL/dinput when `want` has kInput.
+  Tensor backward_impl(const Tensor& grad_logits, Grads want) override;
+
   ConvNetConfig config_;
   Sequential encoder_;
   std::unique_ptr<Module> head_;

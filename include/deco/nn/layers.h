@@ -20,7 +20,6 @@ class Conv2d : public Module {
          int64_t padding, Rng& rng);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Conv2d"; }
@@ -28,6 +27,8 @@ class Conv2d : public Module {
   int64_t out_channels() const { return out_channels_; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_;
@@ -53,12 +54,13 @@ class Linear : public Module {
   Linear(int64_t in_features, int64_t out_features, Rng& rng);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Linear"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   int64_t in_features_;
   int64_t out_features_;
   Tensor weight_;
@@ -72,10 +74,11 @@ class Linear : public Module {
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "ReLU"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   Tensor mask_;  // 1 where input > 0
 };
 
@@ -85,10 +88,11 @@ class AvgPool2d : public Module {
   explicit AvgPool2d(int64_t kernel) : kernel_(kernel) {}
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "AvgPool2d"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   int64_t kernel_;
   std::vector<int64_t> in_shape_;
 };
@@ -100,10 +104,11 @@ class MaxPool2d : public Module {
   explicit MaxPool2d(int64_t kernel) : kernel_(kernel) {}
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "MaxPool2d"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   int64_t kernel_;
   std::vector<int64_t> in_shape_;
   std::vector<int64_t> argmax_;  // flat input index per output element
@@ -117,12 +122,13 @@ class InstanceNorm2d : public Module {
   explicit InstanceNorm2d(int64_t channels, float eps = 1e-5f);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "InstanceNorm2d"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   int64_t channels_;
   float eps_;
   Tensor gamma_;       // [C]
@@ -138,10 +144,11 @@ class InstanceNorm2d : public Module {
 class Flatten : public Module {
  public:
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
 
  private:
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   std::vector<int64_t> in_shape_;
 };
 

@@ -21,7 +21,6 @@ class Sequential : public Module {
   Sequential& add(std::unique_ptr<Module> layer);
 
   Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
   void collect_params(std::vector<ParamRef>& out) override;
   void reinitialize(Rng& rng) override;
   std::string name() const override { return "Sequential"; }
@@ -30,6 +29,10 @@ class Sequential : public Module {
   Module& layer(size_t i) { return *layers_[i]; }
 
  private:
+  /// Layer 0 gets `want`; every later layer also owes kInput to the layer
+  /// below it.
+  Tensor backward_impl(const Tensor& grad_output, Grads want) override;
+
   std::vector<std::unique_ptr<Module>> layers_;
   // Telemetry span sites ("nn/<i>:<name>/fwd|bwd"), resolved once per layer
   // in add() so forward/backward pay no registry lookup.

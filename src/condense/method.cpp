@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <unordered_set>
 
@@ -338,7 +339,7 @@ float DecoCondenser::run_iteration(const CondenseContext& ctx,
   std::vector<int64_t> touched = active_rows;
   if (config_.feature_discrimination && config_.alpha > 0.0f &&
       ctx.deployed_model != nullptr && buf.ipc() > 1) {
-    const float disc_norm = apply_feature_discrimination(ctx, active_rows);
+    const float disc_norm = apply_feature_discrimination(ctx);
     // Eq. (9) combines the two gradients with weight α. The raw scales of
     // the two terms differ by orders of magnitude in this substrate (the
     // summed per-row cosine distance produces much larger input gradients
@@ -377,8 +378,7 @@ void DecoCondenser::load_state(std::istream& is) {
   velocity_labels_ = read_optional_tensor(is);
 }
 
-float DecoCondenser::apply_feature_discrimination(
-    const CondenseContext& ctx, const std::vector<int64_t>& active_rows) {
+float DecoCondenser::apply_feature_discrimination(const CondenseContext& ctx) {
   SyntheticBuffer& buf = *ctx.buffer;
   // Negative classes are drawn from the condenser's own generator, not the
   // learner's: enabling/disabling feature discrimination must not perturb
@@ -386,28 +386,27 @@ float DecoCondenser::apply_feature_discrimination(
   Rng& rng = rng_;
   const int64_t cap = std::max<int64_t>(2, config_.contrastive_cap);
 
-  // Anchors: active rows (capped per class). Negatives: one random other
-  // class per anchor, with up to `cap` of its rows embedded.
+  // Anchors: active rows (capped per class), which fill the head of `sel`.
+  // Negatives: one random other class per anchor, with up to `cap` of its
+  // rows embedded. A negative class that is active contributes only its
+  // anchors again, so the tail behind the anchors holds inactive rows only.
   std::vector<int64_t> sel;           // buffer rows to embed
   std::unordered_set<int64_t> seen;
   auto push_row = [&](int64_t r) {
     if (seen.insert(r).second) sel.push_back(r);
   };
 
-  std::vector<int64_t> anchors_rows;
   for (int64_t cls : *ctx.active_classes) {
     auto rows = buf.rows_of_class(cls);
     const int64_t take_n = std::min<int64_t>(cap, static_cast<int64_t>(rows.size()));
-    for (int64_t k = 0; k < take_n; ++k) {
-      anchors_rows.push_back(rows[static_cast<size_t>(k)]);
-      push_row(rows[static_cast<size_t>(k)]);
-    }
+    for (int64_t k = 0; k < take_n; ++k) push_row(rows[static_cast<size_t>(k)]);
   }
+  const int64_t n_anchors = static_cast<int64_t>(sel.size());
 
   std::vector<int64_t> neg_class_of_anchor;
-  neg_class_of_anchor.reserve(anchors_rows.size());
-  for (int64_t r : anchors_rows) {
-    const int64_t yi = buf.label(r);
+  neg_class_of_anchor.reserve(sel.size());
+  for (int64_t a = 0; a < n_anchors; ++a) {
+    const int64_t yi = buf.label(sel[static_cast<size_t>(a)]);
     int64_t neg = rng.uniform_int(buf.num_classes());
     while (neg == yi) neg = rng.uniform_int(buf.num_classes());
     neg_class_of_anchor.push_back(neg);
@@ -415,45 +414,51 @@ float DecoCondenser::apply_feature_discrimination(
     const int64_t take_n = std::min<int64_t>(cap, static_cast<int64_t>(rows.size()));
     for (int64_t k = 0; k < take_n; ++k) push_row(rows[static_cast<size_t>(k)]);
   }
-  if (anchors_rows.empty()) {
+  if (n_anchors == 0) {
     last_disc_rows_.clear();
     return 0.0f;
   }
 
-  // Local index mapping.
+  // Local index mapping: anchor a is row a of `sel`.
   std::vector<int64_t> local_labels;
   local_labels.reserve(sel.size());
   for (int64_t r : sel) local_labels.push_back(buf.label(r));
-  std::vector<int64_t> anchor_local;
-  anchor_local.reserve(anchors_rows.size());
-  for (int64_t r : anchors_rows) {
-    const auto it = std::find(sel.begin(), sel.end(), r);
-    anchor_local.push_back(std::distance(sel.begin(), it));
-  }
+  std::vector<int64_t> anchor_local(static_cast<size_t>(n_anchors));
+  std::iota(anchor_local.begin(), anchor_local.end(), int64_t{0});
 
-  Tensor x_sel = buf.gather(sel);
-  Tensor emb = ctx.deployed_model->embed(x_sel);
+  // Only the anchors receive gradient (Section III-B restricts updates to
+  // the active classes); the negatives only shape the loss. So the tail is
+  // embedded forward-only first and the anchors last, leaving their
+  // activations cached for the backward pass. The encoder is row-separable
+  // bit for bit, so the joined embeddings equal one embed() of all of `sel`.
+  nn::ConvNet& model = *ctx.deployed_model;
+  const std::vector<int64_t> head(sel.begin(), sel.begin() + n_anchors);
+  const std::vector<int64_t> tail(sel.begin() + n_anchors, sel.end());
+  const Tensor emb_tail =
+      tail.empty() ? Tensor() : model.embed(buf.gather(tail));
+  const Tensor emb_head = model.embed(buf.gather(head));
+  const int64_t d = emb_head.dim(1);
+  Tensor emb({static_cast<int64_t>(sel.size()), d});
+  std::copy(emb_head.data(), emb_head.data() + emb_head.numel(), emb.data());
+  std::copy(emb_tail.data(), emb_tail.data() + emb_tail.numel(),
+            emb.data() + emb_head.numel());
+
   auto disc = nn::feature_discrimination_loss(emb, local_labels, anchor_local,
                                               neg_class_of_anchor, config_.tau);
-  Tensor input_grads = ctx.deployed_model->backward_from_embedding(
-      disc.grad_embeddings);
-  ctx.deployed_model->zero_grad();  // discard parameter grads: S is the target
+  const Tensor input_grads =
+      model.backward_from_embedding(take(disc.grad_embeddings, anchor_local));
 
   // Stage the discrimination gradient separately so the caller can equalize
-  // its scale against the matching gradient before weighting by α. Only
-  // ACTIVE rows receive gradient (Section III-B restricts updates to the
-  // active classes); the other embedded rows only shape the loss.
+  // its scale against the matching gradient before weighting by α.
   if (disc_scratch_.numel() != buf.grads().numel())
     disc_scratch_ = Tensor(buf.grads().shape());
   disc_scratch_.zero();
-  std::unordered_set<int64_t> active_set(active_rows.begin(), active_rows.end());
   const int64_t per = buf.channels() * buf.height() * buf.width();
   const float* src = input_grads.data();
   float* dst = disc_scratch_.data();
-  for (size_t i = 0; i < sel.size(); ++i) {
-    if (active_set.find(sel[i]) == active_set.end()) continue;
-    std::copy(src + static_cast<int64_t>(i) * per,
-              src + static_cast<int64_t>(i + 1) * per, dst + sel[i] * per);
+  for (int64_t a = 0; a < n_anchors; ++a) {
+    const int64_t r = head[static_cast<size_t>(a)];
+    std::copy(src + a * per, src + (a + 1) * per, dst + r * per);
   }
   last_disc_rows_ = std::move(sel);
   return disc_scratch_.norm();
@@ -560,7 +565,7 @@ void BilevelCondenser::condense(const CondenseContext& ctx) {
         scratch_->zero_grad();
         Tensor logits = scratch_->forward(xb);
         auto ce = nn::weighted_cross_entropy(logits, yb);
-        scratch_->backward(ce.grad_logits);
+        scratch_->backward(ce.grad_logits, nn::Grads::kParams);
         opt_model.step();
         scratch_->zero_grad();
       }

@@ -459,7 +459,7 @@ void train_classifier(nn::ConvNet& model, const Tensor& images,
         model.zero_grad();
         continue;
       }
-      model.backward(ce.grad_logits);
+      model.backward(ce.grad_logits, nn::Grads::kParams);
       if (guarded && !guard->admit_gradients(model.parameters())) {
         model.zero_grad();
         continue;
@@ -498,7 +498,7 @@ void train_classifier_soft(nn::ConvNet& model, const Tensor& images,
         model.zero_grad();
         continue;
       }
-      model.backward(ce.grad_logits);
+      model.backward(ce.grad_logits, nn::Grads::kParams);
       if (guarded && !guard->admit_gradients(model.parameters())) {
         model.zero_grad();
         continue;

@@ -24,9 +24,10 @@ Tensor ReLU::forward(const Tensor& input) {
   return out;
 }
 
-Tensor ReLU::backward(const Tensor& grad_output) {
+Tensor ReLU::backward_impl(const Tensor& grad_output, Grads want) {
   DECO_CHECK(grad_output.numel() == mask_.numel(),
              "ReLU::backward called without matching forward");
+  if (!wants(want, Grads::kInput)) return Tensor();
   Tensor grad = grad_output;
   grad.mul_(mask_);
   return grad;
@@ -68,7 +69,7 @@ Tensor AvgPool2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor AvgPool2d::backward(const Tensor& grad_output) {
+Tensor AvgPool2d::backward_impl(const Tensor& grad_output, Grads want) {
   DECO_CHECK(!in_shape_.empty(), "AvgPool2d::backward without forward");
   const int64_t N = in_shape_[0], C = in_shape_[1], H = in_shape_[2],
                 W = in_shape_[3];
@@ -76,6 +77,7 @@ Tensor AvgPool2d::backward(const Tensor& grad_output) {
   DECO_CHECK(grad_output.ndim() == 4 && grad_output.dim(2) == oh &&
                  grad_output.dim(3) == ow,
              "AvgPool2d::backward: grad shape mismatch");
+  if (!wants(want, Grads::kInput)) return Tensor();
   Tensor grad_input(in_shape_);
   const float inv = 1.0f / static_cast<float>(kernel_ * kernel_);
   const float* pg = grad_output.data();
@@ -145,10 +147,11 @@ Tensor MaxPool2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+Tensor MaxPool2d::backward_impl(const Tensor& grad_output, Grads want) {
   DECO_CHECK(!in_shape_.empty(), "MaxPool2d::backward without forward");
   DECO_CHECK(grad_output.numel() == static_cast<int64_t>(argmax_.size()),
              "MaxPool2d::backward: grad shape mismatch");
+  if (!wants(want, Grads::kInput)) return Tensor();
   Tensor grad_input(in_shape_);
   float* pi = grad_input.data();
   const float* pg = grad_output.data();
@@ -178,8 +181,9 @@ Tensor Flatten::forward(const Tensor& input) {
   return input.reshaped({input.dim(0), per});
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
+Tensor Flatten::backward_impl(const Tensor& grad_output, Grads want) {
   DECO_CHECK(!in_shape_.empty(), "Flatten::backward without forward");
+  if (!wants(want, Grads::kInput)) return Tensor();
   return grad_output.reshaped(in_shape_);
 }
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "deco/core/thread_pool.h"
@@ -64,7 +65,7 @@ Tensor Conv2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward_impl(const Tensor& grad_output, Grads want) {
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   DECO_CHECK(grad_output.ndim() == 4 && grad_output.dim(0) == last_batch_ &&
                  grad_output.dim(1) == out_channels_ && grad_output.dim(2) == oh &&
@@ -73,6 +74,7 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                  " does not match forward output");
   const int64_t per_sample = oh * ow;
   const int64_t total_cols = last_batch_ * per_sample;
+  const bool params = wants(want, Grads::kParams);
 
   // Permute grad NCHW → [out_ch, N*oh*ow] to mirror the forward GEMM layout.
   if (grad_out_mat_.numel() != out_channels_ * total_cols) {
@@ -84,27 +86,26 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   float* pm = grad_out_mat_.data();
   float* pbg = bias_grad_.data();
   // Per-channel: the permuted row and the bias-grad slot are private to oc,
-  // and each channel's batch sum stays in the serial order.
+  // and each channel's batch sum runs over the permuted row in serial order.
   core::parallel_for(0, out_channels_, core::grain_for(total_cols),
                      [&](int64_t oc0, int64_t oc1) {
     for (int64_t oc = oc0; oc < oc1; ++oc) {
       float* dst = pm + oc * total_cols;
-      double bacc = 0.0;
       for (int64_t n = 0; n < last_batch_; ++n) {
         const float* src = pg + (n * out_channels_ + oc) * per_sample;
-        float* d = dst + n * per_sample;
-        for (int64_t i = 0; i < per_sample; ++i) {
-          d[i] = src[i];
-          bacc += src[i];
-        }
+        std::copy(src, src + per_sample, dst + n * per_sample);
       }
+      if (!params) continue;
+      double bacc = 0.0;
+      for (int64_t j = 0; j < total_cols; ++j) bacc += dst[j];
       pbg[oc] += static_cast<float>(bacc);
     }
   });
 
   // dW += grad_mat [out_ch, cols] x cols^T [cols, rows], folded straight
   // into the accumulator — no dw temporary.
-  matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
+  if (params) matmul_nt_acc_into(grad_out_mat_, cols_, weight_grad_);
+  if (!wants(want, Grads::kInput)) return Tensor();
 
   // dcols = W^T [rows, out_ch] x grad_mat [out_ch, cols]
   matmul_tn_into(weight_, grad_out_mat_, grad_cols_);

@@ -40,9 +40,10 @@ Tensor ConvNet::forward(const Tensor& input) {
   return head_->forward(encoder_.forward(input));
 }
 
-Tensor ConvNet::backward(const Tensor& grad_logits) {
+Tensor ConvNet::backward_impl(const Tensor& grad_logits, Grads want) {
   DECO_TRACE_SCOPE("nn/backward");
-  return encoder_.backward(head_->backward(grad_logits));
+  return encoder_.backward(head_->backward(grad_logits, want | Grads::kInput),
+                           want);
 }
 
 Tensor ConvNet::embed(const Tensor& input) {
@@ -51,7 +52,7 @@ Tensor ConvNet::embed(const Tensor& input) {
 }
 
 Tensor ConvNet::backward_from_embedding(const Tensor& grad_embedding) {
-  return encoder_.backward(grad_embedding);
+  return encoder_.backward(grad_embedding, Grads::kInput);
 }
 
 void ConvNet::collect_params(std::vector<ParamRef>& out) {

@@ -74,14 +74,15 @@ Tensor InstanceNorm2d::forward(const Tensor& input) {
   return out;
 }
 
-Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
+Tensor InstanceNorm2d::backward_impl(const Tensor& grad_output, Grads want) {
   DECO_CHECK(!in_shape_.empty(), "InstanceNorm2d::backward without forward");
   DECO_CHECK(grad_output.shape() == in_shape_,
              "InstanceNorm2d::backward: grad shape mismatch");
   const int64_t N = in_shape_[0], H = in_shape_[2], W = in_shape_[3];
   const int64_t M = H * W;
 
-  Tensor grad_input(in_shape_);
+  const bool input = wants(want, Grads::kInput);
+  Tensor grad_input = input ? Tensor(in_shape_) : Tensor();
   const float* pdy = grad_output.data();
   const float* px = xhat_.data();
   const float* ps = inv_std_.data();
@@ -90,10 +91,11 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
   float* pbg = beta_grad_.data();
   float* pdx = grad_input.data();
 
-  // Phase 1 (parallel): per-plane sums and dx — all writes are plane-local.
-  // Phase 2 (serial, ascending nc): fold the per-plane sums into the shared
-  // γ/β gradients in the fixed serial order, keeping the reduction bitwise
-  // identical for every thread count.
+  // Phase 1 (parallel): per-plane sums and, for kInput, dx — all writes are
+  // plane-local.
+  // Phase 2 (serial, ascending nc; kParams only): fold the per-plane sums
+  // into the shared γ/β gradients in the fixed serial order, keeping the
+  // reduction bitwise identical for every thread count.
   const int64_t planes = N * channels_;
   std::vector<double> plane_sum_dy(static_cast<size_t>(planes));
   std::vector<double> plane_sum_dy_xh(static_cast<size_t>(planes));
@@ -103,9 +105,6 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
       const int64_t c = nc % channels_;
       const float* dy = pdy + nc * M;
       const float* xh = px + nc * M;
-      float* dx = pdx + nc * M;
-      const float g = pg[c];
-      const float inv = ps[nc];
 
       double sum_dy = 0.0, sum_dy_xh = 0.0;
       for (int64_t i = 0; i < M; ++i) {
@@ -114,7 +113,11 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
       }
       plane_sum_dy[static_cast<size_t>(nc)] = sum_dy;
       plane_sum_dy_xh[static_cast<size_t>(nc)] = sum_dy_xh;
+      if (!input) continue;
 
+      float* dx = pdx + nc * M;
+      const float g = pg[c];
+      const float inv = ps[nc];
       const float mean_dy = static_cast<float>(sum_dy / M);
       const float mean_dy_xh = static_cast<float>(sum_dy_xh / M);
       // dx = γ·inv_std·(dy − mean(dy) − x̂·mean(dy·x̂))
@@ -123,6 +126,7 @@ Tensor InstanceNorm2d::backward(const Tensor& grad_output) {
       }
     }
   });
+  if (!wants(want, Grads::kParams)) return grad_input;
   for (int64_t nc = 0; nc < planes; ++nc) {
     const int64_t c = nc % channels_;
     pbg[c] += static_cast<float>(plane_sum_dy[static_cast<size_t>(nc)]);

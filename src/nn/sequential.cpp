@@ -26,11 +26,11 @@ Tensor Sequential::forward(const Tensor& input) {
   return x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
+Tensor Sequential::backward_impl(const Tensor& grad_output, Grads want) {
   Tensor g = grad_output;
   for (size_t i = layers_.size(); i-- > 0;) {
     core::telemetry::ScopedSpan span(*bwd_sites_[i]);
-    g = layers_[i]->backward(g);
+    g = layers_[i]->backward(g, i == 0 ? want : want | Grads::kInput);
   }
   return g;
 }

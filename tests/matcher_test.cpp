@@ -1,6 +1,6 @@
 // Verifies the finite-difference one-step matcher (Eqs. 5–7) against a direct
 // numeric gradient of the matching distance with respect to the synthetic
-// pixels — i.e. that the 5-pass O(|θ|+|X|) trick computes what the expensive
+// pixels — i.e. that the 4-pass O(|θ|+|X|) trick computes what the expensive
 // second-order chain rule (Eq. 6) would.
 //
 // The convergence comparisons use a ReLU-free (smooth) network: with ReLU the
@@ -17,6 +17,7 @@
 
 #include "deco/condense/grad_distance.h"
 #include "deco/condense/grad_utils.h"
+#include "deco/core/telemetry.h"
 #include "deco/nn/convnet.h"
 #include "deco/nn/layers.h"
 #include "deco/nn/loss.h"
@@ -155,6 +156,59 @@ TEST(MatcherTest, ConvNetGradientsAreFiniteAndRestore) {
   EXPECT_GT(res.distance, 0.0f);
   for (int64_t j = 0; j < res.grad_syn.numel(); ++j)
     EXPECT_TRUE(std::isfinite(res.grad_syn[j]));
+}
+
+TEST(MatcherTest, OneMatchRunsOnlyTheGemmsItsGradientsNeed) {
+#if !DECO_TELEMETRY_COMPILED
+  GTEST_SKIP() << "telemetry compiled out (-DDECO_TELEMETRY=OFF)";
+#endif
+  namespace telem = core::telemetry;
+  nn::ConvNetConfig cfg;
+  cfg.in_channels = 3;
+  cfg.image_h = cfg.image_w = 16;
+  cfg.num_classes = 4;
+  cfg.width = 8;
+  cfg.depth = 3;
+  Rng rng(23);
+  nn::ConvNet model(cfg, rng);
+  const int64_t n_syn = 5, n_real = 7;
+  Tensor x_syn = random_tensor({n_syn, 3, 16, 16}, rng, 0.5);
+  Tensor x_real = random_tensor({n_real, 3, 16, 16}, rng, 0.5);
+  GradientMatcher matcher(model);
+
+  const bool was_enabled = telem::enabled();
+  telem::set_enabled(true);
+  const telem::Snapshot before = telem::snapshot();
+  const MatchResult res = matcher.match(x_syn, {0, 1, 2, 3, 0}, x_real,
+                                        {0, 1, 2, 3, 0, 1, 2}, {});
+  const telem::Snapshot after = telem::snapshot();
+  telem::set_enabled(was_enabled);
+  ASSERT_GT(res.distance, 0.0f);
+
+  // Per pass: 3 conv + 1 linear forward GEMMs. The weight-gradient passes
+  // (1–2) add dW for all four layers and dX for all but conv 0 (11 GEMMs);
+  // the input-gradient passes (3–4) add dX only (8 GEMMs).
+  EXPECT_EQ(after.counter_value("gemm/calls") -
+                before.counter_value("gemm/calls"),
+            2 * 11 + 2 * 8);
+
+  // Every GEMM of a layer costs the same 2·m·n·k, forward or backward.
+  auto conv = [&](int64_t n, int64_t in_ch, int64_t side) {
+    return 2 * cfg.width * in_ch * 9 * n * side * side;
+  };
+  auto convs = [&](int64_t n) {
+    return conv(n, 3, 16) + conv(n, cfg.width, 8) + conv(n, cfg.width, 4);
+  };
+  auto linear = [&](int64_t n) {
+    return 2 * n * model.feature_dim() * cfg.num_classes;
+  };
+  auto weight_pass = [&](int64_t n) {
+    return 3 * convs(n) - conv(n, 3, 16) + 3 * linear(n);
+  };
+  auto input_pass = [&](int64_t n) { return 2 * convs(n) + 2 * linear(n); };
+  EXPECT_EQ(after.counter_value("gemm/flops") -
+                before.counter_value("gemm/flops"),
+            weight_pass(n_real) + weight_pass(n_syn) + 2 * input_pass(n_syn));
 }
 
 TEST(MatcherTest, AugmentedMatchProducesFiniteGradients) {

@@ -21,6 +21,7 @@
 #include "deco/core/learner.h"
 #include "deco/data/world.h"
 #include "deco/nn/convnet.h"
+#include "deco/nn/layers.h"
 #include "deco/nn/loss.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/ops.h"
@@ -280,6 +281,116 @@ TEST(ParallelDeterminismTest, ConvNetForwardBackward) {
       [] { return convnet_pass(5, 16, 8, nn::Pooling::kAvg); });
   for (nn::Pooling pooling : {nn::Pooling::kAvg, nn::Pooling::kMax})
     expect_bitwise_invariant([&] { return convnet_pass(16, 32, 32, pooling); });
+}
+
+// ---- gradient-need contract and row separability ----------------------------
+
+// Input gradient and a copy of every parameter gradient of one forward and
+// one `want` backward of `m`, starting from zeroed gradients.
+struct BackwardResult {
+  Tensor grad_input;
+  std::vector<Tensor> param_grads;
+};
+
+BackwardResult backward_with(nn::Module& m, const Tensor& x,
+                             const Tensor& grad_out, nn::Grads want) {
+  m.zero_grad();
+  m.forward(x);
+  BackwardResult r;
+  r.grad_input = m.backward(grad_out, want);
+  for (const nn::ParamRef& p : m.parameters())
+    r.param_grads.push_back(*p.grad);
+  return r;
+}
+
+// kParams: every parameter gradient bitwise equal to kAll's, no input
+// gradient. kInput: the input gradient bitwise equal to kAll's, every
+// parameter gradient exactly 0.
+void expect_need_contract(nn::Module& m, const Tensor& x,
+                          const Tensor& grad_out) {
+  const BackwardResult all = backward_with(m, x, grad_out, nn::Grads::kAll);
+  const BackwardResult params =
+      backward_with(m, x, grad_out, nn::Grads::kParams);
+  const BackwardResult input = backward_with(m, x, grad_out, nn::Grads::kInput);
+  ASSERT_FALSE(all.param_grads.empty()) << m.name();
+  ASSERT_EQ(all.grad_input.numel(), x.numel()) << m.name();
+  EXPECT_EQ(params.grad_input.numel(), 0) << m.name();
+  EXPECT_EQ(bytes_of(input.grad_input), bytes_of(all.grad_input)) << m.name();
+  for (size_t i = 0; i < all.param_grads.size(); ++i) {
+    EXPECT_EQ(bytes_of(params.param_grads[i]), bytes_of(all.param_grads[i]))
+        << m.name() << " param " << i;
+    EXPECT_EQ(bytes_of(input.param_grads[i]),
+              bytes_of(Tensor(all.param_grads[i].shape())))
+        << m.name() << " param " << i;
+  }
+}
+
+TEST(ParallelDeterminismTest, BackwardComputesOnlyTheRequestedGradients) {
+  const int saved = core::num_threads();
+  for (int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    for (int64_t batch : {3, 7}) {
+      SCOPED_TRACE("batch=" + std::to_string(batch));
+      Rng rng(17);
+      nn::Conv2d conv(3, 8, 3, 1, 1, rng);
+      expect_need_contract(conv, testing::random_tensor({batch, 3, 9, 9}, rng),
+                           testing::random_tensor({batch, 8, 9, 9}, rng));
+      nn::Linear linear(13, 5, rng);
+      expect_need_contract(linear, testing::random_tensor({batch, 13}, rng),
+                           testing::random_tensor({batch, 5}, rng));
+      nn::InstanceNorm2d norm(6);
+      expect_need_contract(norm, testing::random_tensor({batch, 6, 5, 5}, rng),
+                           testing::random_tensor({batch, 6, 5, 5}, rng));
+      for (nn::Pooling pooling : {nn::Pooling::kAvg, nn::Pooling::kMax}) {
+        nn::ConvNetConfig cfg = small_config();
+        cfg.depth = 3;
+        cfg.pooling = pooling;
+        nn::ConvNet net(cfg, rng);
+        expect_need_contract(net,
+                             testing::random_tensor({batch, 3, 16, 16}, rng),
+                             testing::random_tensor({batch, 4}, rng));
+      }
+    }
+  }
+  core::set_num_threads(saved);
+}
+
+// Feature discrimination embeds its negatives and its anchors in two calls
+// and backprops the anchors alone; that equals one joint pass only because
+// the encoder treats every row on its own, bit for bit.
+TEST(ParallelDeterminismTest, EncoderIsRowSeparable) {
+  const int saved = core::num_threads();
+  for (int threads : {1, 4}) {
+    core::set_num_threads(threads);
+    for (nn::Pooling pooling : {nn::Pooling::kAvg, nn::Pooling::kMax}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) + " pooling=" +
+                   std::to_string(static_cast<int>(pooling)));
+      Rng rng(19);
+      nn::ConvNetConfig cfg = small_config();
+      cfg.depth = 3;
+      cfg.pooling = pooling;
+      nn::ConvNet net(cfg, rng);
+      const int64_t n = 11, k = 4;
+      const Tensor x = testing::random_tensor({n, 3, 16, 16}, rng);
+      std::vector<int64_t> head(static_cast<size_t>(k));
+      std::vector<int64_t> tail(static_cast<size_t>(n - k));
+      std::iota(head.begin(), head.end(), int64_t{0});
+      std::iota(tail.begin(), tail.end(), k);
+
+      const Tensor joint = net.embed(x);
+      const Tensor grad_emb = testing::random_tensor(joint.shape(), rng);
+      const Tensor joint_gx = net.backward_from_embedding(grad_emb);
+
+      const Tensor emb_tail = net.embed(take(x, tail));
+      const Tensor emb_head = net.embed(take(x, head));
+      EXPECT_EQ(bytes_of(emb_head), bytes_of(take(joint, head)));
+      EXPECT_EQ(bytes_of(emb_tail), bytes_of(take(joint, tail)));
+      const Tensor head_gx = net.backward_from_embedding(take(grad_emb, head));
+      EXPECT_EQ(bytes_of(head_gx), bytes_of(take(joint_gx, head)));
+    }
+  }
+  core::set_num_threads(saved);
 }
 
 // ---- condenser-level sweeps -------------------------------------------------

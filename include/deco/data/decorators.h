@@ -80,7 +80,6 @@ class DriftStream : public SegmentSource {
   /// the config, exposed so tests can pin the time course.
   float severity_at(int64_t segment_index) const;
 
-  int64_t segments_drifted() const { return segments_drifted_; }
   const DriftConfig& config() const { return config_; }
 
  private:
@@ -90,7 +89,6 @@ class DriftStream : public SegmentSource {
   float bias_[3];
   float gain_;
   int64_t segments_emitted_ = 0;
-  int64_t segments_drifted_ = 0;
 };
 
 // ---- label noise ------------------------------------------------------------

@@ -1,10 +1,10 @@
 // Fleet: a canned multi-session deployment for demos, benches and serving.
 //
 // SessionManager is deliberately agnostic about where learners and segments
-// come from. Fleet supplies the standard wiring used by `deco_cli serve`,
-// `deco_cli bench` and examples/fleet_serve: N DecoLearner sessions over one
-// procedural world, each with its own model, rng lineage and
-// temporally-correlated stream, replayed through the manager's queues.
+// come from. Fleet supplies the standard wiring used by `deco_cli serve`
+// and examples/fleet_serve: N DecoLearner sessions over one procedural
+// world, each with its own model, rng lineage and temporally-correlated
+// stream, replayed through the manager's queues.
 //
 // Construction of session i's learner and stream is a pure function of
 // (FleetConfig, i) — exposed as make_learner()/stream_seed() — so a

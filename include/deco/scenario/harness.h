@@ -17,6 +17,7 @@
 // tests can memcmp whole cells across thread counts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -111,5 +112,14 @@ MatrixReport run_matrix(const std::vector<ScenarioSpec>& scenarios,
 /// ignore it).
 std::string matrix_json(const MatrixReport& report);
 void write_matrix_json(const MatrixReport& report, const std::string& path);
+
+/// The matrix's functional gates, one message per violation (empty = pass):
+/// a cell missing against `expected_cells`, a non-finite accuracy or
+/// forgetting, segments lost (processed + shed != submitted), and for each
+/// method that ran both mem_pressure cells an int8 cache compressing under
+/// 3.5x vs fp32, admitting fewer sessions than fp32, or more than 20 points
+/// of accuracy away from it. Accuracy levels themselves are not gated.
+std::vector<std::string> matrix_failures(const MatrixReport& report,
+                                         size_t expected_cells);
 
 }  // namespace deco::scenario

@@ -22,17 +22,25 @@
 // File-path saves are atomic: data is written to `<path>.tmp` and renamed
 // over the target, so a crash mid-save never destroys the previous state.
 //
+// The field helpers below (pod, string, RNG state) are the one record codec
+// every binary container here — DECOTNSR, DECOCKPT, DECOLSAV and the
+// condenser blobs inside it — is written and read with.
+//
 // PPM export renders CHW float images (clamped to [0,1]) as 8-bit P6 files —
 // the standard way condensation papers visualize synthetic images.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
+#include <istream>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "deco/tensor/check.h"
 #include "deco/tensor/dtype.h"
+#include "deco/tensor/rng.h"
 #include "deco/tensor/tensor.h"
 
 namespace deco {
@@ -40,6 +48,36 @@ namespace deco {
 /// IEEE CRC32 (the zlib/PNG polynomial) of `n` bytes, continuing from `seed`
 /// (pass the previous return value to checksum data in chunks; 0 to start).
 uint32_t crc32(const void* data, size_t n, uint32_t seed = 0);
+
+/// Writes the raw (little-endian host) bytes of one trivially copyable value.
+template <typename T>
+void write_pod(std::ostream& os, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+/// Reads one value written by write_pod, optionally folding its raw bytes
+/// into a running CRC. Throws deco::Error on a truncated stream.
+template <typename T>
+T read_pod(std::istream& is, uint32_t* crc = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  T v{};
+  is.read(reinterpret_cast<char*>(&v), sizeof(T));
+  DECO_CHECK(static_cast<bool>(is), "binary record truncated");
+  if (crc != nullptr) *crc = crc32(&v, sizeof(T), *crc);
+  return v;
+}
+
+/// Writes a u32 length followed by the string's bytes.
+void write_string(std::ostream& os, const std::string& s);
+
+/// Reads a string written by write_string. Throws deco::Error on a declared
+/// length of 4096 or more (names and tags only) or a truncated body.
+std::string read_string(std::istream& is);
+
+/// Writes a generator state: 4 × u64 words, u8 has_cached_normal, f64 cache.
+void write_rng_state(std::ostream& os, const RngState& st);
+RngState read_rng_state(std::istream& is);
 
 /// Writes `bytes` to `path` atomically: the payload goes to `<path>.tmp`
 /// first and is renamed over `path` only after a successful flush, so readers

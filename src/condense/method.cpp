@@ -163,19 +163,6 @@ bool rows_finite(const Tensor& full, const std::vector<int64_t>& rows,
 
 // ---- condenser state serialization helpers ---------------------------------
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "condenser state truncated");
-  return v;
-}
-
 void write_optional_tensor(std::ostream& os, const Tensor& t) {
   const uint8_t present = t.numel() > 0 ? 1 : 0;
   write_pod(os, present);
@@ -185,20 +172,6 @@ void write_optional_tensor(std::ostream& os, const Tensor& t) {
 Tensor read_optional_tensor(std::istream& is) {
   const uint8_t present = read_pod<uint8_t>(is);
   return present != 0 ? read_tensor(is) : Tensor();
-}
-
-void write_rng_state(std::ostream& os, const RngState& st) {
-  for (uint64_t w : st.s) write_pod(os, w);
-  write_pod(os, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
-  write_pod(os, st.cached_normal);
-}
-
-RngState read_rng_state(std::istream& is) {
-  RngState st;
-  for (auto& w : st.s) w = read_pod<uint64_t>(is);
-  st.has_cached_normal = read_pod<uint8_t>(is) != 0;
-  st.cached_normal = read_pod<double>(is);
-  return st;
 }
 
 }  // namespace

@@ -45,7 +45,6 @@ bool DriftStream::next(Segment& out) {
   const float s = severity_at(segments_emitted_);
   ++segments_emitted_;
   if (s <= 0.0f) return true;
-  ++segments_drifted_;
 
   // Per-channel affine shift around mid-gray, interpolated toward the drawn
   // drift endpoint by severity. Channels beyond 3 reuse the bias cyclically.

@@ -18,52 +18,9 @@
 namespace deco::core {
 
 namespace {
-
-// ---- save_state / load_state helpers ----------------------------------------
-
+// save_state / load_state container (field codec: deco/tensor/serialize.h).
 constexpr char kStateMagic[8] = {'D', 'E', 'C', 'O', 'L', 'S', 'A', 'V'};
 constexpr uint32_t kStateVersion = 2;
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "learner state truncated");
-  return v;
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_pod(os, static_cast<uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-std::string read_string(std::istream& is) {
-  const uint32_t n = read_pod<uint32_t>(is);
-  DECO_CHECK(n < 4096, "learner state: bad string length");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "learner state: string truncated");
-  return s;
-}
-
-void write_rng_state(std::ostream& os, const RngState& st) {
-  for (uint64_t w : st.s) write_pod(os, w);
-  write_pod(os, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
-  write_pod(os, st.cached_normal);
-}
-
-RngState read_rng_state(std::istream& is) {
-  RngState st;
-  for (auto& w : st.s) w = read_pod<uint64_t>(is);
-  st.has_cached_normal = read_pod<uint8_t>(is) != 0;
-  st.cached_normal = read_pod<double>(is);
-  return st;
-}
 }  // namespace
 
 void OnDeviceLearner::save_state(const std::string& path) const {

@@ -13,22 +13,6 @@ namespace deco::nn {
 
 namespace {
 constexpr char kMagic[8] = {'D', 'E', 'C', 'O', 'C', 'K', 'P', 'T'};
-
-void write_string(std::ostream& os, const std::string& s) {
-  const uint32_t n = static_cast<uint32_t>(s.size());
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  os.write(s.data(), n);
-}
-
-std::string read_string(std::istream& is) {
-  uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  DECO_CHECK(static_cast<bool>(is) && n < 4096, "checkpoint: bad string");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "checkpoint: string truncated");
-  return s;
-}
 }  // namespace
 
 void save_checkpoint(const std::string& path, Module& model) {
@@ -42,8 +26,7 @@ void save_checkpoint(const std::string& path, Module& model, DType dtype,
   std::ostringstream os(std::ios::binary);
   os.write(kMagic, sizeof(kMagic));
   auto params = model.parameters();
-  const uint32_t count = static_cast<uint32_t>(params.size());
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  write_pod(os, static_cast<uint32_t>(params.size()));
   for (ParamRef& p : params) {
     write_string(os, p.name);
     // fp32 keeps the legacy v2 record so default checkpoints stay
@@ -64,9 +47,7 @@ void load_checkpoint(const std::string& path, Module& model) {
   is.read(magic, sizeof(magic));
   DECO_CHECK(static_cast<bool>(is) && std::equal(magic, magic + 8, kMagic),
              "load_checkpoint: not a DECO checkpoint");
-  uint32_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  DECO_CHECK(static_cast<bool>(is), "load_checkpoint: header truncated");
+  const uint32_t count = read_pod<uint32_t>(is);
   auto params = model.parameters();
   DECO_CHECK(count == params.size(),
              "load_checkpoint: parameter count mismatch (file " +

@@ -1,6 +1,9 @@
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "deco/scenario/harness.h"
 #include "deco/tensor/check.h"
@@ -75,6 +78,70 @@ void write_matrix_json(const MatrixReport& report, const std::string& path) {
   DECO_CHECK(os.is_open(), "scenario: cannot open " + path + " for writing");
   os << matrix_json(report);
   DECO_CHECK(os.good(), "scenario: short write to " + path);
+}
+
+std::vector<std::string> matrix_failures(const MatrixReport& report,
+                                         size_t expected_cells) {
+  std::vector<std::string> failures;
+  for (const CellResult& c : report.cells) {
+    if (!std::isfinite(c.accuracy) || !std::isfinite(c.forgetting)) {
+      std::ostringstream msg;
+      msg << "non-finite metric in cell " << c.scenario << "/" << c.method;
+      failures.push_back(msg.str());
+    }
+    if (c.segments_processed + c.segments_shed != c.segments_submitted) {
+      std::ostringstream msg;
+      msg << c.scenario << "/" << c.method << " lost "
+          << c.segments_submitted - c.segments_processed - c.segments_shed
+          << " segments (submitted " << c.segments_submitted
+          << ", processed " << c.segments_processed << ", shed "
+          << c.segments_shed << ")";
+      failures.push_back(msg.str());
+    }
+  }
+  // Paired memory-pressure gates: whenever a method ran both mem_pressure
+  // cells, the int8 cache must actually compress (>= 3.5x vs the logical
+  // fp32 bytes), admit at least as many sessions under the same budget, and
+  // stay within a smoke-test accuracy band of the fp32 cell.
+  for (const CellResult& f32 : report.cells) {
+    if (f32.scenario != "mem_pressure_fp32") continue;
+    for (const CellResult& q8 : report.cells) {
+      if (q8.scenario != "mem_pressure_int8" || q8.method != f32.method)
+        continue;
+      const double ratio =
+          q8.cache_stored_bytes > 0
+              ? static_cast<double>(q8.cache_logical_bytes) /
+                    static_cast<double>(q8.cache_stored_bytes)
+              : 0.0;
+      if (ratio < 3.5) {
+        std::ostringstream msg;
+        msg << "mem_pressure_int8/" << q8.method << " cache compression "
+            << ratio << "x < 3.5x";
+        failures.push_back(msg.str());
+      }
+      if (q8.sessions_admitted < f32.sessions_admitted) {
+        std::ostringstream msg;
+        msg << "mem_pressure_int8/" << q8.method << " admitted "
+            << q8.sessions_admitted << " sessions < fp32's "
+            << f32.sessions_admitted;
+        failures.push_back(msg.str());
+      }
+      if (std::abs(q8.accuracy - f32.accuracy) > 20.0f) {
+        std::ostringstream msg;
+        msg << "mem_pressure int8 vs fp32 accuracy delta "
+            << std::abs(q8.accuracy - f32.accuracy) << " > 20 for "
+            << q8.method;
+        failures.push_back(msg.str());
+      }
+    }
+  }
+  if (report.cells.size() != expected_cells) {
+    std::ostringstream msg;
+    msg << "expected " << expected_cells << " cells, got "
+        << report.cells.size();
+    failures.push_back(msg.str());
+  }
+  return failures;
 }
 
 }  // namespace deco::scenario

@@ -35,21 +35,6 @@ std::array<uint32_t, 256> make_crc_table() {
   return table;
 }
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-/// Reads a POD, optionally folding its raw bytes into a running CRC.
-template <typename T>
-T read_pod(std::istream& is, uint32_t* crc = nullptr) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "tensor stream truncated");
-  if (crc != nullptr) *crc = crc32(&v, sizeof(T), *crc);
-  return v;
-}
-
 /// Parsed v1/v2/v3 record header — everything between the magic and the
 /// payload. When `crc` is non-null the header bytes are folded into it
 /// (the discipline the CRC trailer covers); skip_tensor passes null.
@@ -148,6 +133,34 @@ uint32_t crc32(const void* data, size_t n, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
+}
+
+void write_string(std::ostream& os, const std::string& s) {
+  write_pod(os, static_cast<uint32_t>(s.size()));
+  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+}
+
+std::string read_string(std::istream& is) {
+  const uint32_t n = read_pod<uint32_t>(is);
+  DECO_CHECK(n < 4096, "read_string: bad string length");
+  std::string s(n, '\0');
+  is.read(s.data(), n);
+  DECO_CHECK(static_cast<bool>(is), "read_string: string truncated");
+  return s;
+}
+
+void write_rng_state(std::ostream& os, const RngState& st) {
+  for (uint64_t w : st.s) write_pod(os, w);
+  write_pod(os, static_cast<uint8_t>(st.has_cached_normal ? 1 : 0));
+  write_pod(os, st.cached_normal);
+}
+
+RngState read_rng_state(std::istream& is) {
+  RngState st;
+  for (auto& w : st.s) w = read_pod<uint64_t>(is);
+  st.has_cached_normal = read_pod<uint8_t>(is) != 0;
+  st.cached_normal = read_pod<double>(is);
+  return st;
 }
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {

@@ -14,9 +14,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "deco/data/decorators.h"
@@ -591,6 +593,89 @@ TEST(ScenarioReport, GeneratedMatrixMatchesGoldenSchema) {
   std::set<std::string> expect = kCellKeys;
   expect.erase("wall_seconds");
   EXPECT_EQ(keys_of(det.object()), expect);
+}
+
+// Rebuilds a report from matrix_json text (the fixture above), so the gate
+// test below reads the same rows the schema test checks.
+scenario::MatrixReport report_from_json(const std::string& text) {
+  JsonParser parser(text);
+  const JsonValue doc = parser.parse();
+  EXPECT_TRUE(parser.ok()) << parser.error();
+  scenario::MatrixReport report;
+  for (const JsonValue& cell : doc.object().at("cells").array()) {
+    const JsonObject& o = cell.object();
+    auto str = [&](const char* k) { return std::get<std::string>(o.at(k).v); };
+    auto i64 = [&](const char* k) { return std::get<int64_t>(o.at(k).v); };
+    auto f64 = [&](const char* k) { return std::get<double>(o.at(k).v); };
+    scenario::CellResult c;
+    c.scenario = str("scenario");
+    c.method = str("method");
+    c.sessions = i64("sessions");
+    c.sessions_admitted = i64("sessions_admitted");
+    c.cache_dtype = str("cache_dtype");
+    c.cache_stored_bytes = i64("cache_stored_bytes");
+    c.cache_logical_bytes = i64("cache_logical_bytes");
+    c.segments_submitted = i64("segments_submitted");
+    c.segments_processed = i64("segments_processed");
+    c.segments_shed = i64("segments_shed");
+    c.accuracy = static_cast<float>(f64("accuracy"));
+    c.forgetting = static_cast<float>(f64("forgetting"));
+    c.pseudo_label_accuracy = f64("pseudo_label_accuracy");
+    c.peak_pool_bytes = i64("peak_pool_bytes");
+    c.wall_seconds = f64("wall_seconds");
+    report.cells.push_back(c);
+  }
+  return report;
+}
+
+TEST(ScenarioReport, MatrixFailuresFlagEachGateOnce) {
+  // The fixture's two rows are healthy: no gate fires. Its int8 row has no
+  // fp32 partner, so the pair gates do not apply to it.
+  const scenario::MatrixReport golden = report_from_json(kGoldenReport);
+  ASSERT_EQ(golden.cells.size(), 2u);
+  EXPECT_TRUE(scenario::matrix_failures(golden, 2).empty());
+
+  // A healthy mem_pressure pair: 3.56x compression, int8 admits 6 vs 2.
+  scenario::CellResult f32;
+  f32.scenario = "mem_pressure_fp32";
+  f32.method = "deco";
+  f32.sessions = 6;
+  f32.sessions_admitted = 2;
+  f32.cache_stored_bytes = f32.cache_logical_bytes = 983040;
+  f32.segments_submitted = f32.segments_processed = 4;
+  f32.accuracy = 30.0f;
+  scenario::CellResult q8 = f32;
+  q8.scenario = "mem_pressure_int8";
+  q8.sessions_admitted = 6;
+  q8.cache_logical_bytes = 2949120;
+  q8.cache_stored_bytes = 829440;
+  q8.segments_submitted = q8.segments_processed = 12;
+  q8.accuracy = 25.0f;
+  EXPECT_TRUE(scenario::matrix_failures({1, 4, {f32, q8}}, 2).empty());
+
+  // Each broken row trips exactly one gate.
+  using Cell = scenario::CellResult;
+  const std::vector<std::pair<std::string,
+                              std::function<void(Cell&, Cell&)>>> gates = {
+      {"nan accuracy", [](Cell& a, Cell&) { a.accuracy = NAN; }},
+      {"inf forgetting", [](Cell&, Cell& b) { b.forgetting = INFINITY; }},
+      {"lost segment", [](Cell& a, Cell&) { a.segments_processed = 3; }},
+      {"compression", [](Cell&, Cell& b) { b.cache_stored_bytes = 983040; }},
+      {"admission", [](Cell&, Cell& b) { b.sessions_admitted = 1; }},
+      {"accuracy band", [](Cell&, Cell& b) { b.accuracy = 9.0f; }},
+  };
+  for (const auto& [name, breakage] : gates) {
+    Cell a = f32, b = q8;
+    breakage(a, b);
+    EXPECT_EQ(scenario::matrix_failures({1, 4, {a, b}}, 2).size(), 1u)
+        << name;
+  }
+
+  // A missing cell: the report holds fewer cells than the matrix asked for.
+  const std::vector<std::string> missing =
+      scenario::matrix_failures(golden, 3);
+  ASSERT_EQ(missing.size(), 1u);
+  EXPECT_NE(missing[0].find("expected 3 cells, got 2"), std::string::npos);
 }
 
 }  // namespace

@@ -148,6 +148,51 @@ TEST(SerializeTest, AtomicSaveLeavesNoTempFile) {
   std::remove(path.c_str());
 }
 
+TEST(SerializeTest, PodAndStringFieldsRoundTrip) {
+  std::stringstream ss;
+  write_pod(ss, uint32_t{0xDEADBEEF});
+  write_pod(ss, int64_t{-42});
+  write_pod(ss, 0.125);
+  write_string(ss, "conv.weight");
+  write_string(ss, "");
+  write_pod(ss, uint8_t{7});
+  EXPECT_EQ(read_pod<uint32_t>(ss), 0xDEADBEEFu);
+  EXPECT_EQ(read_pod<int64_t>(ss), -42);
+  EXPECT_EQ(read_pod<double>(ss), 0.125);
+  EXPECT_EQ(read_string(ss), "conv.weight");
+  EXPECT_EQ(read_string(ss), "");
+  EXPECT_EQ(read_pod<uint8_t>(ss), 7);
+  EXPECT_THROW(read_pod<uint8_t>(ss), Error);  // past the end
+}
+
+TEST(SerializeTest, ReadStringRejectsOversizedAndTruncatedFields) {
+  std::stringstream oversized;
+  write_pod(oversized, uint32_t{4096});
+  oversized << std::string(4096, 'x');
+  EXPECT_THROW(read_string(oversized), Error);
+
+  std::stringstream truncated;
+  write_pod(truncated, uint32_t{10});
+  truncated << "short";
+  EXPECT_THROW(read_string(truncated), Error);
+}
+
+TEST(SerializeTest, RngStateRoundTripResumesTheSameDraws) {
+  Rng rng(11);
+  (void)rng.normal();  // leaves the Box–Muller partner cached
+  ASSERT_TRUE(rng.state().has_cached_normal);
+  std::stringstream ss;
+  write_rng_state(ss, rng.state());
+  Rng restored(999);
+  restored.set_state(read_rng_state(ss));
+  for (int i = 0; i < 8; ++i) {
+    if (i % 2 == 0)
+      EXPECT_EQ(restored.normal(), rng.normal()) << "draw " << i;
+    else
+      EXPECT_EQ(restored.next_u64(), rng.next_u64()) << "draw " << i;
+  }
+}
+
 TEST(PpmTest, WritesValidHeaderAndSize) {
   Tensor img({3, 2, 4});
   img.fill(0.5f);

@@ -3,8 +3,9 @@
 //   deco_cli run     [flags]    single-learner experiment (the classic CLI)
 //   deco_cli serve   [flags]    multi-session runtime over one SessionManager
 //   deco_cli inspect FILE...    print checkpoint/state headers, no tensor loads
-//   deco_cli bench   [flags]    fleet throughput sweep, or (--matrix) the
-//                               scenario × method evaluation matrix
+//
+// The scenario × method matrix has its own gated binary,
+// bench/bench_scenarios.
 //
 // Every subcommand accepts `--config FILE` (key=value lines, or *.json) and
 // repeated `--set key=value` overrides, routed through runtime::ConfigMap —
@@ -21,29 +22,18 @@
 #include <vector>
 
 #include "deco/core/learner.h"
-#include "deco/core/thread_pool.h"
 #include "deco/eval/metrics.h"
 #include "deco/eval/runner.h"
 #include "deco/nn/checkpoint.h"
 #include "deco/runtime/config.h"
 #include "deco/runtime/fleet.h"
-#include "deco/scenario/harness.h"
+#include "deco/scenario/scenario.h"
 #include "deco/tensor/check.h"
 #include "deco/tensor/serialize.h"
 
 using namespace deco;
 
 namespace {
-
-data::DatasetSpec spec_by_name(const std::string& name) {
-  if (name == "icub1") return data::icub1_spec();
-  if (name == "core50") return data::core50_spec();
-  if (name == "cifar100") return data::cifar100_spec();
-  if (name == "imagenet10") return data::imagenet10_spec();
-  if (name == "cifar10") return data::cifar10_spec();
-  DECO_CHECK(false, "unknown dataset '" + name + "'");
-  return {};
-}
 
 // Collects --config / --set sources in order; build() materializes them into
 // one ConfigMap (file entries first, then overrides — later wins).
@@ -181,7 +171,7 @@ int cmd_run(int argc, char** argv, int first) {
 
   eval::RunConfig cfg;
   cfg.method = opt.method;
-  cfg.spec = spec_by_name(opt.dataset);
+  cfg.spec = scenario::dataset_spec_by_name(opt.dataset);
   cfg.stream.stc = opt.stc;
   cfg.stream.segment_size = opt.segment_size;
   cfg.stream.total_segments = opt.segments;
@@ -290,7 +280,7 @@ int cmd_serve(int argc, char** argv, int first) {
 
   runtime::FleetConfig fc;
   fc.sessions = opt.sessions;
-  fc.spec = spec_by_name(opt.dataset);
+  fc.spec = scenario::dataset_spec_by_name(opt.dataset);
   fc.stream.stc = opt.stc;
   fc.stream.segment_size = opt.segment_size;
   fc.stream.total_segments = opt.segments;
@@ -352,24 +342,6 @@ std::string shape_str(const std::vector<int64_t>& shape) {
   return s + "]";
 }
 
-std::string read_inspect_string(std::istream& is) {
-  uint32_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  DECO_CHECK(static_cast<bool>(is) && n < 4096, "inspect: bad string field");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  DECO_CHECK(static_cast<bool>(is), "inspect: string truncated");
-  return s;
-}
-
-template <typename T>
-T read_inspect_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  DECO_CHECK(static_cast<bool>(is), "inspect: file truncated");
-  return v;
-}
-
 // Suffix describing a v3 record's storage: dtype, quant block and the
 // compression ratio vs f32. Empty for v1/v2 records so legacy files print
 // exactly as they always did.
@@ -391,11 +363,11 @@ std::string dtype_suffix(const TensorInfo& info) {
 
 void inspect_checkpoint(std::istream& is) {
   // DECOCKPT: magic | u32 count | count × (string name, tensor).
-  const uint32_t count = read_inspect_pod<uint32_t>(is);
+  const uint32_t count = read_pod<uint32_t>(is);
   std::printf("  model checkpoint (DECOCKPT), %u parameters\n", count);
   int64_t total = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    const std::string name = read_inspect_string(is);
+    const std::string name = read_string(is);
     const TensorInfo info = skip_tensor(is);
     total += info.numel;
     std::printf("    %-28s %-20s %10lld floats (v%u%s)\n", name.c_str(),
@@ -412,22 +384,20 @@ void inspect_learner_state(std::istream& is, int64_t file_bytes) {
   // DECOLSAV v2: magic | u32 version | i64 segments | rng(4×u64,u8,f64) |
   // u32 count | count × (string, tensor) | buffer tensor | u8 soft
   // [| logits tensor] | string condenser | condenser blob | u32 CRC.
-  const uint32_t version = read_inspect_pod<uint32_t>(is);
+  const uint32_t version = read_pod<uint32_t>(is);
   DECO_CHECK(version == 2,
              "inspect: unsupported learner-state version " +
                  std::to_string(version));
-  const int64_t segments = read_inspect_pod<int64_t>(is);
-  for (int i = 0; i < 4; ++i) (void)read_inspect_pod<uint64_t>(is);  // rng
-  (void)read_inspect_pod<uint8_t>(is);
-  (void)read_inspect_pod<double>(is);
+  const int64_t segments = read_pod<int64_t>(is);
+  (void)read_rng_state(is);
   std::printf("  learner state (DECOLSAV v%u), %lld segments seen\n", version,
               static_cast<long long>(segments));
 
-  const uint32_t count = read_inspect_pod<uint32_t>(is);
+  const uint32_t count = read_pod<uint32_t>(is);
   int64_t total = 0;
   std::printf("  %u model parameters:\n", count);
   for (uint32_t i = 0; i < count; ++i) {
-    const std::string name = read_inspect_string(is);
+    const std::string name = read_string(is);
     const TensorInfo info = skip_tensor(is);
     total += info.numel;
     std::printf("    %-28s %-20s %10lld floats%s\n", name.c_str(),
@@ -438,14 +408,14 @@ void inspect_learner_state(std::istream& is, int64_t file_bytes) {
   const TensorInfo buffer = skip_tensor(is);
   std::printf("  synthetic buffer: %s%s\n", shape_str(buffer.shape).c_str(),
               dtype_suffix(buffer).c_str());
-  const uint8_t soft = read_inspect_pod<uint8_t>(is);
+  const uint8_t soft = read_pod<uint8_t>(is);
   if (soft != 0) {
     const TensorInfo logits = skip_tensor(is);
     std::printf("  soft-label logits: %s\n", shape_str(logits.shape).c_str());
   } else {
     std::printf("  soft labels: off\n");
   }
-  const std::string condenser = read_inspect_string(is);
+  const std::string condenser = read_string(is);
   const int64_t condenser_bytes =
       file_bytes - static_cast<int64_t>(is.tellg()) -
       static_cast<int64_t>(sizeof(uint32_t));
@@ -505,174 +475,6 @@ int cmd_inspect(int argc, char** argv, int first) {
   return 0;
 }
 
-// ---- bench ------------------------------------------------------------------
-
-void print_bench_help() {
-  std::printf(
-      "deco_cli bench — fleet throughput sweep, or the evaluation matrix\n\n"
-      "throughput sweep (default):\n"
-      "  --sessions LIST  comma-separated counts (default 1,2,4)\n"
-      "  --segments N     stream length per session          (default 6)\n"
-      "  --seed N         base RNG seed                      (default 1)\n"
-      "  --json PATH      also write the sweep as JSON\n"
-      "  --config FILE / --set key=value   same keys as serve\n\n"
-      "scenario evaluation matrix (--matrix):\n"
-      "  --matrix         run scenario x method cells through the harness\n"
-      "  --scenarios LIST comma-separated scenario names  (default: all)\n"
-      "  --methods LIST   comma-separated method names    (default: all)\n"
-      "  --segments N     per-session stream length override\n"
-      "  --seed N         cell seed                       (default 1)\n"
-      "  --out PATH       report path (default BENCH_scenarios.json)\n");
-}
-
-std::vector<std::string> split_names(const std::string& list) {
-  std::vector<std::string> out;
-  size_t pos = 0;
-  while (pos <= list.size()) {
-    size_t comma = list.find(',', pos);
-    if (comma == std::string::npos) comma = list.size();
-    if (comma > pos) out.push_back(list.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return out;
-}
-
-int cmd_bench_matrix(int argc, char** argv, int first) {
-  scenario::HarnessOptions options;
-  std::vector<std::string> wanted_scenarios, methods;
-  std::string out_path = "BENCH_scenarios.json";
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&] { return next_arg(argc, argv, i); };
-    if (a == "--matrix") continue;
-    if (a == "--help" || a == "-h") {
-      print_bench_help();
-      return 0;
-    }
-    else if (a == "--scenarios") wanted_scenarios = split_names(next());
-    else if (a == "--methods") methods = split_names(next());
-    else if (a == "--segments") options.segments = std::atoll(next());
-    else if (a == "--seed") options.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--out") out_path = next();
-    else DECO_CHECK(false, "unknown flag '" + a +
-                               "' for bench --matrix (see deco_cli bench "
-                               "--help)");
-  }
-
-  std::vector<scenario::ScenarioSpec> scenarios;
-  if (wanted_scenarios.empty()) {
-    scenarios = scenario::builtin_scenarios();
-  } else {
-    for (const std::string& n : wanted_scenarios)
-      scenarios.push_back(scenario::scenario_by_name(n));
-  }
-  if (methods.empty()) methods = scenario::builtin_methods();
-
-  scenario::MatrixReport report;
-  report.seed = options.seed;
-  report.threads = core::num_threads();
-  std::printf("%-18s %-13s %8s %8s %6s %9s\n", "scenario", "method", "acc",
-              "forget", "shed", "seconds");
-  for (const scenario::ScenarioSpec& spec : scenarios) {
-    for (const std::string& method : methods) {
-      scenario::CellResult cell = scenario::run_cell(spec, method, options);
-      std::printf("%-18s %-13s %8.2f %8.2f %6lld %9.2f\n",
-                  cell.scenario.c_str(), cell.method.c_str(), cell.accuracy,
-                  cell.forgetting, static_cast<long long>(cell.segments_shed),
-                  cell.wall_seconds);
-      std::fflush(stdout);
-      report.cells.push_back(std::move(cell));
-    }
-  }
-  scenario::write_matrix_json(report, out_path);
-  std::printf("wrote %s (%zu cells)\n", out_path.c_str(),
-              report.cells.size());
-  return 0;
-}
-
-int cmd_bench(int argc, char** argv, int first) {
-  for (int i = first; i < argc; ++i) {
-    if (std::string(argv[i]) == "--matrix")
-      return cmd_bench_matrix(argc, argv, first);
-  }
-  std::vector<int64_t> sessions = {1, 2, 4};
-  int64_t segments = 6;
-  uint64_t seed = 1;
-  std::string json_path;
-  ConfigSources config;
-  for (int i = first; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&] { return next_arg(argc, argv, i); };
-    if (a == "--help" || a == "-h") {
-      print_bench_help();
-      return 0;
-    } else if (a == "--sessions") {
-      sessions.clear();
-      std::string list = next();
-      size_t pos = 0;
-      while (pos < list.size()) {
-        size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) comma = list.size();
-        sessions.push_back(std::atoll(list.substr(pos, comma - pos).c_str()));
-        pos = comma + 1;
-      }
-      DECO_CHECK(!sessions.empty(), "--sessions needs at least one count");
-    }
-    else if (a == "--segments") segments = std::atoll(next());
-    else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--json") json_path = next();
-    else if (a == "--config") config.file = next();
-    else if (a == "--set") config.sets.push_back(next());
-    else DECO_CHECK(false,
-                    "unknown flag '" + a + "' (see deco_cli bench --help)");
-  }
-
-  std::string json = "{\n  \"sweep\": [\n";
-  std::printf("%9s %10s %12s %14s\n", "sessions", "segments", "seconds",
-              "segments/s");
-  for (size_t i = 0; i < sessions.size(); ++i) {
-    runtime::FleetConfig fc;
-    fc.sessions = sessions[i];
-    fc.spec = spec_by_name("core50");
-    fc.stream.stc = 16;
-    fc.stream.segment_size = 16;
-    fc.stream.total_segments = segments;
-    fc.seed = seed;
-    fc.deco.model_update_epochs = 2;
-    fc.deco.beta = 4;
-    fc.deco.condenser.iterations = 2;
-    runtime::ConfigMap cm = config.build();
-    cm.apply(fc.deco);
-    cm.apply(fc.stream);
-    cm.apply(fc.runtime);
-    cm.check_fully_consumed();
-
-    runtime::Fleet fleet(fc);
-    const runtime::FleetResult res = fleet.run();
-    std::printf("%9lld %10lld %12.3f %14.2f\n",
-                static_cast<long long>(sessions[i]),
-                static_cast<long long>(res.segments_processed), res.seconds,
-                res.segments_per_second);
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"sessions\": %lld, \"segments\": %lld, "
-                  "\"seconds\": %.4f, \"segments_per_second\": %.3f}%s\n",
-                  static_cast<long long>(sessions[i]),
-                  static_cast<long long>(res.segments_processed), res.seconds,
-                  res.segments_per_second,
-                  i + 1 < sessions.size() ? "," : "");
-    json += buf;
-  }
-  json += "  ]\n}\n";
-  if (!json_path.empty()) {
-    std::ofstream os(json_path);
-    DECO_CHECK(os.is_open(), "bench: cannot open " + json_path);
-    os << json;
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
-}
-
 // ---- dispatch ---------------------------------------------------------------
 
 void print_main_help() {
@@ -680,9 +482,7 @@ void print_main_help() {
       "deco_cli — on-device learning via dataset condensation\n\n"
       "  deco_cli run     [flags]   single-learner experiment\n"
       "  deco_cli serve   [flags]   multi-session learner runtime\n"
-      "  deco_cli inspect FILE...   checkpoint/state headers, no tensor loads\n"
-      "  deco_cli bench   [flags]   throughput sweep; --matrix runs the\n"
-      "                             scenario evaluation matrix\n\n"
+      "  deco_cli inspect FILE...   checkpoint/state headers, no tensor loads\n\n"
       "`deco_cli <subcommand> --help` lists that subcommand's flags.\n"
       "Flags with no subcommand run `run` (pre-subcommand compatibility).\n");
 }
@@ -699,13 +499,11 @@ int main(int argc, char** argv) {
     if (cmd == "run") return cmd_run(argc, argv, 2);
     if (cmd == "serve") return cmd_serve(argc, argv, 2);
     if (cmd == "inspect") return cmd_inspect(argc, argv, 2);
-    if (cmd == "bench") return cmd_bench(argc, argv, 2);
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
       const std::string topic = argc > 2 ? argv[2] : "";
       if (topic == "run") print_run_help();
       else if (topic == "serve") print_serve_help();
       else if (topic == "inspect") print_inspect_help();
-      else if (topic == "bench") print_bench_help();
       else print_main_help();
       return 0;
     }
